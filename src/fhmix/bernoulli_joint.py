@@ -82,42 +82,41 @@ def _check_unit_interval(value: float, name: str) -> float:
     return min(1.0, max(0.0, v))
 
 
-def _check_symmetric_matrix(entries, lo: float, hi: float, what: str) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidMatrixError(f"{what} must be square, got shape {arr.shape}")
-    if arr.shape[0] < 1:
-        raise InvalidMatrixError(f"{what} must be at least 1x1")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidMatrixError(f"{what} has non-finite entries")
-    if not np.array_equal(arr, arr.T):
-        raise InvalidMatrixError(f"{what} must be symmetric")
-    if not np.all(np.diag(arr) == 1.0):
-        raise InvalidMatrixError(f"{what} must have unit diagonal")
-    if np.any(arr < lo - FEAS_TOL) or np.any(arr > hi + FEAS_TOL):
-        raise InvalidMatrixError(f"{what} entries must lie in [{lo}, {hi}]")
-    out = np.clip(arr, lo, hi)
-    np.fill_diagonal(out, 1.0)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
-class ConcurrenceMatrix:
-    """Symmetric unit-diagonal matrix of agreement probabilities in [0, 1]."""
+class _UnitDiagonalMatrix:
+    """Symmetric unit-diagonal matrix with entries in [_lo, _hi].
+
+    Subclasses set the bounds and ``_what``, the name used in error messages.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        checked = _check_symmetric_matrix(self.entries, 0.0, 1.0, "concurrence matrix")
-        object.__setattr__(self, "entries", checked)
+        what, lo, hi = self._what, self._lo, self._hi
+        arr = np.asarray(self.entries, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise InvalidMatrixError(f"{what} must be square, got shape {arr.shape}")
+        if arr.shape[0] < 1:
+            raise InvalidMatrixError(f"{what} must be at least 1x1")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidMatrixError(f"{what} has non-finite entries")
+        if not np.array_equal(arr, arr.T):
+            raise InvalidMatrixError(f"{what} must be symmetric")
+        if not np.all(np.diag(arr) == 1.0):
+            raise InvalidMatrixError(f"{what} must have unit diagonal")
+        if np.any(arr < lo - FEAS_TOL) or np.any(arr > hi + FEAS_TOL):
+            raise InvalidMatrixError(f"{what} entries must lie in [{lo}, {hi}]")
+        out = np.clip(arr, lo, hi)
+        np.fill_diagonal(out, 1.0)
+        out.flags.writeable = False
+        object.__setattr__(self, "entries", out)
 
     @classmethod
-    def from_lower_triangle(cls, values, n: int) -> "ConcurrenceMatrix":
+    def from_lower_triangle(cls, values, n: int):
         """Build from the strict lower triangle in row-major order.
 
-        ``values`` lists lambda_ij for i = 2..n, j = 1..i-1 (1-based), i.e.
-        [l21, l31, l32, l41, ...].
+        ``values`` lists m_ij for i = 2..n, j = 1..i-1 (1-based), i.e.
+        [m21, m31, m32, m41, ...].
         """
         vals = [float(v) for v in values]
         if len(vals) != n * (n - 1) // 2:
@@ -133,7 +132,7 @@ class ConcurrenceMatrix:
         return cls(m)
 
     @classmethod
-    def filled(cls, n: int, value: float) -> "ConcurrenceMatrix":
+    def filled(cls, n: int, value: float):
         """All off-diagonal entries equal to ``value``."""
         m = np.full((n, n), float(value))
         np.fill_diagonal(m, 1.0)
@@ -145,6 +144,12 @@ class ConcurrenceMatrix:
 
     def entry(self, i: int, j: int) -> float:
         return float(self.entries[i, j])
+
+
+class ConcurrenceMatrix(_UnitDiagonalMatrix):
+    """Symmetric unit-diagonal matrix of agreement probabilities in [0, 1]."""
+
+    _lo, _hi, _what = 0.0, 1.0, "concurrence matrix"
 
     def submatrix(self, indices) -> "ConcurrenceMatrix":
         idx = list(indices)

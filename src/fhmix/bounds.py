@@ -146,8 +146,13 @@ def _quantile_product_integral(
 
     lo, hi = QUAD_EPS, 1.0 - QUAD_EPS
     points = sorted({t for t in breakpoints if lo < t < hi}) or None
+    limit = _QUAD_LIMIT
+    if points is not None and len(points) >= _QUAD_LIMIT:
+        # quad needs more subintervals than breakpoints; keep the usual
+        # refinement budget on top of the initial panels
+        limit += len(points)
     result = quad(f, lo, hi, epsabs=QUAD_ABS_TOL * 1e-2, epsrel=1e-12,
-                  limit=_QUAD_LIMIT, points=points, full_output=True)
+                  limit=limit, points=points, full_output=True)
     value, abserr = result[0], result[1]
     if len(result) > 3 and abserr > QUAD_ABS_TOL:
         raise QuadratureError(

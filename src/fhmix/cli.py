@@ -43,7 +43,7 @@ from .errors import (
     InfeasibleError,
     UnachievableCorrelationError,
 )
-from .marginals import MarginalSpec, moments
+from .marginals import _FAMILY_FIELDS, MarginalSpec, moments
 from .sampler import (
     CorrelationMatrix,
     SamplingPlan,
@@ -55,15 +55,6 @@ from .sampler import (
 Z_LIMIT = 4.0
 # stand-in for an infinite z-score; keeps the verify report strict JSON
 Z_HUGE = 1e18
-
-_MARGINAL_FIELDS = {
-    "uniform": ("a", "b"),
-    "exponential": ("rate",),
-    "normal": ("mean", "sd"),
-    "bernoulli": ("p",),
-    "empirical": ("values", "weights"),
-}
-
 
 @dataclass(frozen=True)
 class JobConfig:
@@ -162,26 +153,19 @@ def _parse_marginal(record, index: int) -> MarginalSpec:
     if not isinstance(record, dict) or "family" not in record:
         raise ConfigError(f"marginal {index + 1} must be an object with a 'family'")
     family = record["family"]
-    fields = _MARGINAL_FIELDS.get(family)
+    fields = _FAMILY_FIELDS.get(family)
     if fields is None:
         raise ConfigError(
             f"marginal {index + 1}: unknown family {family!r} "
-            f"(expected one of {sorted(_MARGINAL_FIELDS)})"
+            f"(expected one of {sorted(_FAMILY_FIELDS)})"
         )
     extra = set(record) - {"family", *fields}
     if extra:
         raise ConfigError(f"marginal {index + 1}: unexpected keys {sorted(extra)}")
     try:
-        if family == "uniform":
-            return MarginalSpec.uniform(_require_number(record.get("a"), "a"),
-                                        _require_number(record.get("b"), "b"))
-        if family == "exponential":
-            return MarginalSpec.exponential(_require_number(record.get("rate"), "rate"))
-        if family == "normal":
-            return MarginalSpec.normal(_require_number(record.get("mean"), "mean"),
-                                       _require_number(record.get("sd"), "sd"))
-        if family == "bernoulli":
-            return MarginalSpec.bernoulli(_require_number(record.get("p"), "p"))
+        if family != "empirical":
+            params = [_require_number(record.get(name), name) for name in fields]
+            return getattr(MarginalSpec, family)(*params)
         values = record.get("values")
         if not isinstance(values, list):
             raise ConfigError("empirical marginal needs a 'values' list")
@@ -198,7 +182,7 @@ def _marginal_record(m: MarginalSpec) -> dict:
         return {"family": "empirical", "values": list(m.values or ()),
                 "weights": list(m.weights or ())}
     return {"family": m.family,
-            **dict(zip(_MARGINAL_FIELDS[m.family], m.params))}
+            **dict(zip(_FAMILY_FIELDS[m.family], m.params))}
 
 
 def _require_number(v, name: str) -> float:

@@ -18,7 +18,16 @@ from scipy.special import ndtri
 
 from .errors import DomainError, InvalidMarginalError
 
-FAMILIES = ("uniform", "exponential", "normal", "bernoulli", "empirical")
+#: family name -> parameter names, in the order its MarginalSpec constructor
+#: takes them; config files use these names as keys
+_FAMILY_FIELDS = {
+    "uniform": ("a", "b"),
+    "exponential": ("rate",),
+    "normal": ("mean", "sd"),
+    "bernoulli": ("p",),
+    "empirical": ("values", "weights"),
+}
+FAMILIES = tuple(_FAMILY_FIELDS)
 
 _WEIGHT_SUM_TOL = 1e-12
 

@@ -7,14 +7,19 @@ equality system
     sum(pi) = 1,   sum_{atoms with bit i} pi = p_i,
     sum_{atoms with bit i == bit j} pi = lambda_ij,   pi >= 0.
 
-Two arithmetic modes:
+One engine solves every call: a numpy tableau with Dantzig's rule and a
+Bland's-rule restart.  The mode decides how its answer is trusted:
 
-* exact   - fractions.Fraction tableau with Bland's rule; verdicts and the
-            witness are exact.  Chosen automatically when every input is a
-            rational with small denominator (or any non-float rational).
-* float   - numpy tableau, Dantzig rule with a Bland fallback; the phase-1
-            optimum is compared against 1e-9 and any witness is re-verified
-            against the constraints at that tolerance.
+* float   - the phase-1 optimum is compared against 1e-9 and any witness is
+            re-verified against the constraints at that tolerance.
+* exact   - the final basis is re-solved in integer arithmetic from the
+            exact inputs (Applegate, Cook, Dash & Espinoza 2007, "Exact
+            solutions to linear programming problems"): either its basic
+            solution is a nonnegative witness, or its dual vector is a
+            Farkas certificate checked against all 2^n columns.  A basis that
+            is neither raises NumericalError.  Chosen automatically when every
+            input is a rational with small denominator (or any non-float
+            rational).
 
 The oracle is deliberately independent of the closed-form constructions it
 is used to check.
@@ -22,6 +27,7 @@ is used to check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -83,9 +89,21 @@ def lp_feasible(marginal_probs, conc: ConcurrenceMatrix, mode: str = "auto") -> 
     use_exact = mode == "exact" or (mode == "auto" and _all_small_rationals(rhs_values))
 
     A, names = _constraint_system(n)
+    b = np.array([float(v) for v in rhs_values])
+    value, x, y, basis = _phase1_float(A, b)
     if use_exact:
-        return _solve_exact(A, rhs_values, names, n)
-    return _solve_float(A, rhs_values, names, n)
+        return _certify(A, [_to_fraction(v) for v in rhs_values], basis, names, n)
+    if value <= FLOAT_TOL:
+        probs = np.clip(x, 0.0, None)
+        probs /= probs.sum()
+        pmf = JointPMF(n, probs)
+        residual = float(np.abs(A @ pmf.probs - b).max())
+        if residual > FLOAT_TOL:
+            raise NumericalError(
+                f"witness re-verification failed: residual {residual:.3g} > {FLOAT_TOL}"
+            )
+        return FeasibilityWitness(True, pmf, None, residual, "float")
+    return FeasibilityWitness(False, None, _certificate(value, y, names), value, "float")
 
 
 def pushforward(pmf: JointPMF, atom_map) -> JointPMF:
@@ -138,48 +156,33 @@ def _all_small_rationals(values) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# float path
+# float simplex
 # ---------------------------------------------------------------------------
 
-def _solve_float(A: np.ndarray, rhs_values, names, n: int) -> FeasibilityWitness:
-    b = np.array([float(v) for v in rhs_values])
-    value, x, y = _phase1_float(A, b)
-    if value <= FLOAT_TOL:
-        probs = np.clip(x, 0.0, None)
-        probs /= probs.sum()
-        pmf = JointPMF(n, probs)
-        residual = float(np.abs(A @ pmf.probs - b).max())
-        if residual > FLOAT_TOL:
-            raise NumericalError(
-                f"witness re-verification failed: residual {residual:.3g} > {FLOAT_TOL}"
-            )
-        return FeasibilityWitness(True, pmf, None, residual, "float")
-    return FeasibilityWitness(False, None, _certificate(value, y, names), value, "float")
+def _phase1_float(A: np.ndarray,
+                  b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, list[int]]:
+    """Minimize total artificial slack; returns (optimum, atom vector, duals, basis).
 
-
-def _phase1_float(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Minimize total artificial slack; returns (optimum, atom vector, duals)."""
+    Basis entries index the columns of [A | I]: k < N is atom k, k >= N is
+    the artificial of row k - N.
+    """
     m, N = A.shape
     T = np.zeros((m + 1, N + m + 1))
-    T[:m, :N] = A
-    T[:m, N:N + m] = np.eye(m)
-    T[:m, -1] = b
-    # reduced-cost row under the artificial basis (price vector all ones)
-    T[m, :N] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
-    basis = list(range(N, N + m))
-
-    if not _simplex_iterate(T, basis, bland=False, max_iter=60 * (m + 2)):
-        # rare stall/cycle: rebuild and rerun with Bland's rule (terminates)
+    # Dantzig's rule first; on a rare stall or cycle, restart with Bland's
+    # rule, which terminates
+    for bland, max_iter in ((False, 60 * (m + 2)), (True, 500 * (N + m))):
         T[:m, :N] = A
         T[:m, N:N + m] = np.eye(m)
         T[:m, -1] = b
+        # reduced-cost row under the artificial basis (price vector all ones)
         T[m, :] = 0.0
         T[m, :N] = -A.sum(axis=0)
         T[m, -1] = -b.sum()
         basis = list(range(N, N + m))
-        if not _simplex_iterate(T, basis, bland=True, max_iter=500 * (N + m)):
-            raise NumericalError("phase-1 simplex failed to terminate")
+        if _simplex_iterate(T, basis, bland, max_iter):
+            break
+    else:
+        raise NumericalError("phase-1 simplex failed to terminate")
 
     value = -T[m, -1]
     x = np.zeros(N)
@@ -187,7 +190,7 @@ def _phase1_float(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.n
         if col < N:
             x[col] = T[row, -1]
     y = 1.0 - T[m, N:N + m]
-    return value, x, y
+    return value, x, y, basis
 
 
 def _simplex_iterate(T: np.ndarray, basis: list[int], bland: bool, max_iter: int) -> bool:
@@ -224,60 +227,76 @@ def _pivot(T: np.ndarray, r: int, j: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact path
+# rational certification of the final basis
 # ---------------------------------------------------------------------------
 
-def _solve_exact(A: np.ndarray, rhs_values, names, n: int) -> FeasibilityWitness:
+def _certify(A: np.ndarray, b: list[Fraction], basis: list[int], names,
+             n: int) -> FeasibilityWitness:
+    """Exact verdict from the basis the float simplex stopped at.
+
+    With B the basis columns of [A | I] and c the phase-1 costs (0 on atoms,
+    1 on artificials): if B x_B = b is nonnegative with every artificial at
+    zero, x is an exact witness.  Otherwise y solving B^T y = c_B proves
+    infeasibility when y <= 1, A^T y <= 0 on every atom and b^T y > 0 (any
+    witness pi would give b^T y = pi^T A^T y <= 0).  b^T y is then a lower
+    bound on the minimum total violation, and equal to it when x_B >= 0.
+    """
     m, N = A.shape
-    b = [_to_fraction(v) for v in rhs_values]
-    zero, one = Fraction(0), Fraction(1)
+    scale = math.lcm(*(v.denominator for v in b))
+    b_int = [v.numerator * (scale // v.denominator) for v in b]
+    # cols[r] is basis column r; as rows they form B^T
+    cols = [A[:, k].astype(np.int64).tolist() if k < N else [int(i == k - N) for i in range(m)]
+            for k in basis]
 
-    rows = []
-    for i in range(m):
-        row = [one if A[i, j] else zero for j in range(N)]
-        row += [one if k == i else zero for k in range(m)]
-        row.append(b[i])
-        rows.append(row)
-    obj = [-sum(rows[i][j] for i in range(m)) for j in range(N)]
-    obj += [zero] * m
-    obj.append(-sum(b))
-    rows.append(obj)
-    basis = list(range(N, N + m))
+    solved = _integer_solve([list(row) for row in zip(*cols)], b_int)
+    if solved is None:
+        raise NumericalError("final simplex basis is singular in exact arithmetic")
+    num, det = solved
+    if all(v * det >= 0 for v in num) and not any(v for v, k in zip(num, basis) if k >= N):
+        x = np.zeros(N)
+        for v, k in zip(num, basis):
+            if k < N:
+                x[k] = float(Fraction(v, det * scale))
+        return FeasibilityWitness(True, JointPMF(n, x), None, 0.0, "exact")
 
-    for _ in range(2000 * (N + m)):
-        red = rows[m]
-        j = next((k for k in range(N + m) if red[k] < zero), None)
-        if j is None:
-            break
-        pivots = [(rows[i][-1] / rows[i][j], basis[i], i)
-                  for i in range(m) if rows[i][j] > zero]
-        if not pivots:
-            raise NumericalError("exact phase-1 simplex reports an unbounded column")
-        _, _, r = min(pivots)
-        prow = rows[r]
-        piv = prow[j]
-        prow = [v / piv for v in prow]
-        rows[r] = prow
-        for i in range(m + 1):
-            if i != r and rows[i][j] != zero:
-                f = rows[i][j]
-                rows[i] = [v - f * w for v, w in zip(rows[i], prow)]
-        basis[r] = j
-    else:
-        raise NumericalError("exact phase-1 simplex failed to terminate")
+    # y = num / det, with det > 0 after the sign flip
+    num, det = _integer_solve(cols, [int(k >= N) for k in basis])
+    if det < 0:
+        num, det = [-v for v in num], -det
+    violation = Fraction(sum(bi * yi for bi, yi in zip(b_int, num)), det * scale)
+    if (violation > 0 and max(num) <= det
+            and (A.T.astype(np.int64) @ np.array(num, dtype=object) <= 0).all()):
+        y = np.array([float(Fraction(v, det)) for v in num])
+        return FeasibilityWitness(False, None, _certificate(float(violation), y, names),
+                                  float(violation), "exact")
+    raise NumericalError(
+        "final simplex basis certifies neither a witness nor infeasibility in exact arithmetic"
+    )
 
-    value = -rows[m][-1]
-    if value == zero:
-        x = [zero] * N
-        for row, col in enumerate(basis):
-            if col < N:
-                x[col] = rows[row][-1]
-        pmf = JointPMF(n, np.array([float(v) for v in x]))
-        return FeasibilityWitness(True, pmf, None, 0.0, "exact")
-    y = [one - rows[m][N + i] for i in range(m)]
-    yf = np.array([float(v) for v in y])
-    return FeasibilityWitness(False, None, _certificate(float(value), yf, names),
-                              float(value), "exact")
+
+def _integer_solve(M: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
+    """Solve M z = rhs over the rationals; returns (num, det) with z = num / det.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every division is
+    exact, so entries stay integers, and at the end each diagonal entry is
+    det, the determinant of M up to sign.  Returns None when M is singular.
+    """
+    rows = [row + [v] for row, v in zip(M, rhs)]
+    m = len(rows)
+    prev = 1
+    for k in range(m):
+        p = next((i for i in range(k, m) if rows[i][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        piv = rows[k]
+        d = piv[k]
+        for i in range(m):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(d * a - f * c) // prev for a, c in zip(rows[i], piv)]
+        prev = d
+    return [row[m] for row in rows], prev
 
 
 def _to_fraction(v) -> Fraction:

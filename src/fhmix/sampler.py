@@ -35,9 +35,9 @@ from .bernoulli_joint import (
     AlphaInterval,
     ConcurrenceMatrix,
     JointPMF,
-    _check_symmetric_matrix,
+    _UnitDiagonalMatrix,
 )
-from .bounds import CorrelationExtremes, corr_extremes
+from .bounds import CorrelationExtremes, _sort_key, corr_extremes
 from .errors import (
     CapacityError,
     DomainError,
@@ -55,44 +55,10 @@ RHO_SLACK = 1e-9
 ConvexityMatrix = ConcurrenceMatrix
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(_UnitDiagonalMatrix):
     """Symmetric unit-diagonal matrix of target correlations in [-1, 1]."""
 
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        checked = _check_symmetric_matrix(self.entries, -1.0, 1.0, "correlation matrix")
-        object.__setattr__(self, "entries", checked)
-
-    @classmethod
-    def from_lower_triangle(cls, values, n: int) -> "CorrelationMatrix":
-        """Build from the strict lower triangle, row-major ([r21, r31, r32, ...])."""
-        vals = [float(v) for v in values]
-        if len(vals) != n * (n - 1) // 2:
-            raise DomainError(
-                f"need {n * (n - 1) // 2} lower-triangle entries for n={n}, got {len(vals)}"
-            )
-        m = np.eye(n)
-        k = 0
-        for i in range(1, n):
-            for j in range(i):
-                m[i, j] = m[j, i] = vals[k]
-                k += 1
-        return cls(m)
-
-    @classmethod
-    def filled(cls, n: int, value: float) -> "CorrelationMatrix":
-        m = np.full((n, n), float(value))
-        np.fill_diagonal(m, 1.0)
-        return cls(m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.entries[i, j])
+    _lo, _hi, _what = -1.0, 1.0, "correlation matrix"
 
 
 @dataclass(frozen=True)
@@ -184,15 +150,11 @@ def pairwise_extremes(
     table: list[list[CorrelationExtremes | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            key = tuple(sorted((_marginal_key(ms[i]), _marginal_key(ms[j]))))
+            key = tuple(sorted((_sort_key(ms[i]), _sort_key(ms[j]))))
             if key not in cache:
                 cache[key] = corr_extremes(ms[i], ms[j])
             table[i][j] = cache[key]
     return tuple(tuple(row) for row in table)
-
-
-def _marginal_key(m: MarginalSpec):
-    return (m.family, m.params, m.values or (), m.weights or ())
 
 
 def build_plan(
@@ -341,21 +303,13 @@ def _checked_alpha(alpha: float, interval: AlphaInterval) -> float:
 # ---------------------------------------------------------------------------
 
 def sample_vector(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
-    """Draw one vector from a feasible plan.
+    """Draw one vector from a feasible plan: a batch of one.
 
     Draw order is fixed (one open-interval uniform U, then the recipe draw),
     so a given generator state always yields the same vector.
     """
     _require_feasible(plan)
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    atom = int(np.searchsorted(plan.recipe.cdf, rng.random(), side="right"))
-    out = np.empty(plan.n)
-    for i, m in enumerate(plan.marginals):
-        bit = (atom >> (plan.n - 1 - i)) & 1
-        out[i] = quantile(m, u if bit else 1.0 - u)
-    return out
+    return _batch_values(plan, 1, rng)[0]
 
 
 def sample_batch(plan: SamplingPlan, count: int, seed: int, stream_id: int = 0) -> SampleBatch:

@@ -7,6 +7,7 @@ from fhmix import (
     CorrelationExtremes,
     DegenerateMarginalError,
     MarginalSpec,
+    QuadratureError,
     bernoulli_corr_extremes,
     corr_extremes,
     moments,
@@ -25,6 +26,25 @@ def test_exponential_pair_extremes():
     assert ext.method == "quadrature"
     assert ext.rho_minus == pytest.approx(1.0 - math.pi ** 2 / 6.0, abs=1e-6)
     assert ext.rho_plus == pytest.approx(1.0, abs=1e-6)
+
+
+def test_many_atom_empirical_stays_in_the_error_hierarchy():
+    # 999 jump points: more quadrature breakpoints than the default
+    # subinterval limit of 400
+    values = np.sort(np.random.default_rng(8).normal(size=1000))
+    emp = MarginalSpec.empirical(values)
+    try:
+        ext = corr_extremes(emp, MarginalSpec.uniform(0.0, 1.0))
+    except QuadratureError:
+        return
+    # exact finite sums: atom k carries u in (c_k, c_{k+1}], each of mass 1/1000
+    c = np.arange(1001) / 1000.0
+    plus = float(np.sum(values * (c[1:] ** 2 - c[:-1] ** 2) / 2.0))  # E[Q(U) U]
+    minus = float(values.mean()) - plus                             # E[Q(U) (1 - U)]
+    mu, sd = float(values.mean()), float(values.std())
+    scale = sd / math.sqrt(12.0)
+    assert ext.rho_plus == pytest.approx((plus - 0.5 * mu) / scale, abs=1e-7)
+    assert ext.rho_minus == pytest.approx((minus - 0.5 * mu) / scale, abs=1e-7)
 
 
 def test_uniform_pair_extremes():

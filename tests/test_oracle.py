@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhmix import (
     CapacityError,
@@ -67,6 +69,45 @@ def test_exact_mode_verdicts():
 def test_auto_mode_picks_exact_for_small_denominators():
     assert lp_feasible([0.5] * 2, ConcurrenceMatrix.filled(2, 0.25)).mode == "exact"
     assert lp_feasible([0.5] * 2, ConcurrenceMatrix.filled(2, 0.31)).mode == "float"
+
+
+def test_exact_mode_eight_fair_coins():
+    conc = ConcurrenceMatrix.filled(8, 0.75)
+    w = lp_feasible([0.5] * 8, conc)
+    assert w.mode == "exact" and w.feasible and w.max_residual == 0.0
+    assert pmf_residual(w.pmf, [0.5] * 8, conc.entries) <= 1e-12
+
+
+@st.composite
+def dyadic_fair_coin_laws(draw):
+    """Sixteen masses of 1/16, each split evenly between an atom and its complement."""
+    n = draw(st.integers(5, 7))
+    probs = np.zeros(2 ** n)
+    for atom in draw(st.lists(st.integers(0, 2 ** n - 1), min_size=16, max_size=16)):
+        probs[atom] += 1 / 32
+        probs[2 ** n - 1 - atom] += 1 / 32
+    return JointPMF(n, probs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(law=dyadic_fair_coin_laws(), data=st.data())
+def test_exact_verdicts_are_certified(law, data):
+    n = law.n
+    half = [0.5] * n
+    conc = law.concurrence_matrix()
+    w = lp_feasible(half, conc, mode="exact")
+    assert w.feasible and w.mode == "exact" and w.max_residual == 0.0
+    assert pmf_residual(w.pmf, half, conc.entries) <= 1e-12
+
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    k = data.draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+    e = conc.entries.copy()
+    e[i, j] = e[j, i] = min(1.0, max(0.0, e[i, j] + k / 32))
+    moved = ConcurrenceMatrix(e)
+    exact = lp_feasible(half, moved, mode="exact")
+    assert exact.feasible == lp_feasible(half, moved, mode="float").feasible
+    if not exact.feasible:
+        assert exact.max_residual > 0
 
 
 def test_exact_and_float_agree_on_a_dyadic_grid():

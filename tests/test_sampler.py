@@ -10,6 +10,7 @@ from fhmix import (
     CorrelationMatrix,
     DomainError,
     InfeasibleError,
+    InvalidMatrixError,
     MarginalSpec,
     UnachievableCorrelationError,
     build_plan,
@@ -156,6 +157,12 @@ def test_plan_infeasible_submatrix_diagnostics():
     assert "(1, 2, 3)" in plan.diagnostics
 
 
+def test_wrong_triangle_length_is_a_matrix_error():
+    for cls in (CorrelationMatrix, ConcurrenceMatrix):
+        with pytest.raises(InvalidMatrixError, match="need 3 lower-triangle entries"):
+            cls.from_lower_triangle([0.1, 0.2], 3)
+
+
 def test_plan_from_concurrence_derives_targets():
     plan = build_plan_from_concurrence([UNIFORM, UNIFORM],
                                        ConcurrenceMatrix.from_lower_triangle([0.75], 2))
@@ -183,6 +190,22 @@ def test_comonotone_pair_shares_its_uniform():
         assert x[0] == x[1]
     batch = sample_batch(plan, 5000, seed=10)
     assert np.array_equal(batch.values[:, 0], batch.values[:, 1])
+
+
+def test_sample_vector_pinned_draws():
+    # a single draw consumes one uniform, then one recipe uniform; pinning
+    # the values keeps that order and the quantile path from drifting
+    marginals = [UNIFORM, MarginalSpec.exponential(1.5), MarginalSpec.normal(0.0, 2.0),
+                 MarginalSpec.bernoulli(0.3)]
+    plan = build_plan_from_concurrence(marginals, ConcurrenceMatrix.filled(4, 0.625))
+    rng = np.random.default_rng(2024)
+    expected = [
+        [0.3241686620187182, 0.26120782273144844, -0.9121464477660267, 0.0],
+        [0.3094520308816917, 0.24684655895005206, -0.9948083507464076, 0.0],
+        [0.004197901134533222, 0.002804491372262702, -5.271447740617573, 0.0],
+    ]
+    for row in expected:
+        assert sample_vector(plan, rng).tolist() == row
 
 
 def test_antithetic_pair_mirrors_its_uniform():
