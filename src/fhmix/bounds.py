@@ -1,41 +1,43 @@
 """Extreme correlations achievable by a pair of marginals.
 
-For fixed marginals F_i, F_j the achievable correlations form a closed
-interval.  Its endpoints are attained by inverse-transform coupling through
-a single uniform U:
+They are attained by inverse-transform coupling through one uniform U:
 
     rho_plus  = Corr(F_i^{-1}(U), F_j^{-1}(U))        (comonotone)
     rho_minus = Corr(F_i^{-1}(U), F_j^{-1}(1 - U))    (antithetic)
 
-Both reduce to one-dimensional integrals of quantile products,
-
-    Corr = (int_0^1 F_i^{-1}(u) F_j^{-1}(g(u)) du - mu_i mu_j) / (sigma_i sigma_j)
-
-with g(u) = u or 1 - u.  For a pair of Bernoulli marginals the integrals
-collapse to closed forms; every other pair is handled by adaptive quadrature
-on (eps, 1 - eps).  Finite variance makes the truncated tails negligible:
-with eps = 1e-12 the omitted mass contributes well under the 1e-8 tolerance
-for every supported family.
+Correlation ignores location and scale, so both are integrals of products of
+standardized quantiles q(u) = (F^{-1}(u) - mu) / sigma, exact through the
+elementary primitives G(u) = int_0^u q of every family.  Two continuous
+families give a shape constant (Demirtas & Hedeker 2011); normal/exponential,
+the one with no elementary form, is integrated by quadrature once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtri, xlogy
 
 from .errors import DegenerateMarginalError, NumericalError, QuadratureError
-from .marginals import MarginalSpec, moments, quantile, quantile_jumps
+from .marginals import MarginalSpec, _empirical_cum_weights, quantile
 
-#: endpoint clip for quadrature panels
-QUAD_EPS = 1e-12
-#: absolute tolerance contract on each quantile-product integral
-QUAD_ABS_TOL = 1e-8
 #: extremes closer than this are treated as a degenerate (zero-width) interval
 DEGENERATE_WIDTH = 1e-10
 
-_QUAD_LIMIT = 400
+_DISCRETE = ("bernoulli", "empirical")
+
+# (rho_minus, rho_plus) of two continuous shapes, keyed by the sorted family pair
+_SHAPE_EXTREMES = {
+    ("exponential", "exponential"): (1.0 - math.pi ** 2 / 6.0, 1.0),
+    ("exponential", "uniform"): (-math.sqrt(3.0) / 2.0, math.sqrt(3.0) / 2.0),
+    ("normal", "normal"): (-1.0, 1.0),
+    ("normal", "uniform"): (-math.sqrt(3.0 / math.pi), math.sqrt(3.0 / math.pi)),
+    ("uniform", "uniform"): (-1.0, 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -72,39 +74,32 @@ class CorrelationExtremes:
 def corr_extremes(mi: MarginalSpec, mj: MarginalSpec) -> CorrelationExtremes:
     """Minimum and maximum achievable correlation between two marginals.
 
-    Bernoulli-Bernoulli pairs use the closed forms of
-    :func:`bernoulli_corr_extremes`; all other pairs integrate the quantile
-    products by adaptive quadrature to absolute tolerance 1e-8.  The pair is
-    ordered canonically before computing, so the result is exactly symmetric
-    in its arguments.
-
-    Raises :class:`QuadratureError` if the integrator cannot certify the
-    tolerance.
+    Exact on the standardized marginals, so invariant under location and
+    scale.  ``method`` is ``"closed_form"``, except for the normal/exponential
+    constant: ``"quadrature"``, and :class:`QuadratureError` if the
+    integrator cannot certify it.  The pair is ordered canonically before
+    computing, so the result is exactly symmetric in its arguments.
     """
     a, b = sorted((mi, mj), key=_sort_key)
     if a.family == "bernoulli" and b.family == "bernoulli":
         return bernoulli_corr_extremes(a.params[0], b.params[0])
 
-    mu_a, sd_a = moments(a)
-    mu_b, sd_b = moments(b)
+    if (a.family, b.family) == ("exponential", "normal"):
+        rho = _normal_exponential_rho()
+        return CorrelationExtremes(-rho, rho, "quadrature")  # the normal quantile is odd
+    if a.family not in _DISCRETE:  # discrete families sort first
+        return CorrelationExtremes(*_SHAPE_EXTREMES[a.family, b.family], "closed_form")
 
-    jumps_a = quantile_jumps(a)
-    jumps_b = quantile_jumps(b)
-
-    i_plus = _quantile_product_integral(a, b, antithetic=False,
-                                        breakpoints=jumps_a + jumps_b)
-    i_minus = _quantile_product_integral(a, b, antithetic=True,
-                                         breakpoints=jumps_a + tuple(1.0 - t for t in jumps_b))
-
-    rho_plus = _clip_corr((i_plus - mu_a * mu_b) / (sd_a * sd_b))
-    rho_minus = _clip_corr((i_minus - mu_a * mu_b) / (sd_a * sd_b))
+    z, c = _standard_atoms(a)
+    # Q_a = z[k] on (c[k], c[k + 1]], where q_b(1 - u) integrates q_b over [1 - c[k + 1], 1 - c[k])
+    g_plus, g_minus = _primitive(b, np.stack((c, 1.0 - c)))
+    rho_plus = _clip_corr(float(z @ np.diff(g_plus)))
+    rho_minus = _clip_corr(-float(z @ np.diff(g_minus)))
     if rho_minus > rho_plus:
         if rho_minus - rho_plus > 1e-9:
-            raise NumericalError(
-                f"quadrature produced rho_minus={rho_minus} > rho_plus={rho_plus}"
-            )
+            raise NumericalError(f"rho_minus={rho_minus} exceeds rho_plus={rho_plus}")
         rho_minus = rho_plus
-    return CorrelationExtremes(rho_minus, rho_plus, "quadrature")
+    return CorrelationExtremes(rho_minus, rho_plus, "closed_form")
 
 
 def bernoulli_corr_extremes(p: float, q: float) -> CorrelationExtremes:
@@ -130,42 +125,46 @@ def bernoulli_corr_extremes(p: float, q: float) -> CorrelationExtremes:
     return CorrelationExtremes(rho_minus, rho_plus, "closed_form")
 
 
-def _quantile_product_integral(
-    a: MarginalSpec,
-    b: MarginalSpec,
-    antithetic: bool,
-    breakpoints: tuple[float, ...],
-) -> float:
-    """int_eps^{1-eps} F_a^{-1}(u) F_b^{-1}(u or 1-u) du, certified to 1e-8."""
-    if antithetic:
-        def f(u: float) -> float:
-            return quantile(a, u) * quantile(b, 1.0 - u)
-    else:
-        def f(u: float) -> float:
-            return quantile(a, u) * quantile(b, u)
+def _standard_atoms(m: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized atoms z of a discrete marginal and its breakpoints
+    c = [0, ..., 1]: the quantile is z[k] on u in (c[k], c[k + 1]]."""
+    if m.family == "bernoulli":
+        (p,) = m.params
+        return np.array([-p, 1.0 - p]) / math.sqrt(p * (1.0 - p)), np.array([0.0, 1.0 - p, 1.0])
+    # offsets from the first atom are exact for clustered values, so a large
+    # location costs no precision
+    d = np.asarray(m.values) - m.values[0]
+    w = np.asarray(m.weights)
+    d -= w @ d
+    return d / math.sqrt(w @ (d * d)), np.concatenate(([0.0], _empirical_cum_weights(m)))
 
-    lo, hi = QUAD_EPS, 1.0 - QUAD_EPS
-    points = sorted({t for t in breakpoints if lo < t < hi}) or None
-    limit = _QUAD_LIMIT
-    if points is not None and len(points) >= _QUAD_LIMIT:
-        # quad needs more subintervals than breakpoints; keep the usual
-        # refinement budget on top of the initial panels
-        limit += len(points)
-    result = quad(f, lo, hi, epsabs=QUAD_ABS_TOL * 1e-2, epsrel=1e-12,
-                  limit=limit, points=points, full_output=True)
-    value, abserr = result[0], result[1]
-    if len(result) > 3 and abserr > QUAD_ABS_TOL:
-        raise QuadratureError(
-            f"quantile-product integral for ({a}, {b}) did not converge: "
-            f"{result[3]} (abserr={abserr:.3g})",
-            abserr=abserr,
-        )
-    if not math.isfinite(value) or abserr > QUAD_ABS_TOL:
-        raise QuadratureError(
-            f"quantile-product integral for ({a}, {b}) reached abserr={abserr:.3g}, "
-            f"needed {QUAD_ABS_TOL}",
-            abserr=abserr,
-        )
+
+def _primitive(m: MarginalSpec, u: np.ndarray) -> np.ndarray:
+    """G(u) = int_0^u q, with G(0) = G(1) = 0, of the standardized quantile q of m."""
+    if m.family in _DISCRETE:  # piecewise linear between the breakpoints
+        z, c = _standard_atoms(m)
+        return np.interp(u, c, np.concatenate(([0.0], np.cumsum(z * np.diff(c)))))
+    if m.family == "uniform":  # q(u) = sqrt(3) (2u - 1)
+        return -math.sqrt(3.0) * u * (1.0 - u)
+    if m.family == "exponential":  # q(u) = -log(1 - u) - 1
+        return xlogy(1.0 - u, 1.0 - u)
+    z = ndtri(np.minimum(u, 1.0 - u))  # normal: G(u) = -phi(Phi^-1(u)), even about 1/2
+    return -np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+@functools.cache
+def _normal_exponential_rho() -> float:
+    """Corr(Phi^-1(U), -log(1 - U)); the integral is folded at 1/2 so that no
+    node comes near u = 1, where both quantiles diverge."""
+    normal, exponential = MarginalSpec.normal(0.0, 1.0), MarginalSpec.exponential(1.0)
+
+    def product(u: float) -> float:
+        return quantile(normal, u) * (quantile(exponential, u) - 1.0)
+
+    value, abserr, _, *trouble = quad(lambda u: product(u) + product(1.0 - u), 0.0, 0.5,
+                                      epsabs=1e-13, epsrel=0.0, limit=100, full_output=True)
+    if trouble or not abserr <= 1e-12:
+        raise QuadratureError(f"normal/exponential constant: abserr={abserr:.3g}", abserr=abserr)
     return value
 
 

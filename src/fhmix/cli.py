@@ -3,7 +3,7 @@
 Subcommands: ``bounds`` (pairwise correlation extremes), ``plan`` (compile
 and report a sampling plan), ``sample`` (emit CSV), ``verify`` (check a CSV
 against the job's targets).  Exit codes: 0 success, 1 infeasible or failed
-verification, 2 usage/parse errors.
+verification or any other library error, 2 usage/parse errors.
 
 Jobs are described by a JSON config file, e.g.::
 
@@ -36,13 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernoulli_joint import ConcurrenceMatrix
-from .errors import (
-    CapacityError,
-    ConfigError,
-    FhmixError,
-    InfeasibleError,
-    UnachievableCorrelationError,
-)
+from .errors import ConfigError, FhmixError
 from .marginals import _FAMILY_FIELDS, MarginalSpec, moments
 from .sampler import (
     CorrelationMatrix,
@@ -153,7 +147,7 @@ def _parse_marginal(record, index: int) -> MarginalSpec:
     if not isinstance(record, dict) or "family" not in record:
         raise ConfigError(f"marginal {index + 1} must be an object with a 'family'")
     family = record["family"]
-    fields = _FAMILY_FIELDS.get(family)
+    fields = _FAMILY_FIELDS.get(family) if isinstance(family, str) else None
     if fields is None:
         raise ConfigError(
             f"marginal {index + 1}: unknown family {family!r} "
@@ -456,7 +450,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, UnachievableCorrelationError, CapacityError) as exc:
+    except FhmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

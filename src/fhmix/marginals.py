@@ -230,8 +230,8 @@ def quantile_jumps(m: MarginalSpec) -> tuple[float, ...]:
     """Interior u-locations where the quantile function jumps.
 
     Continuous families return (); discrete families return the cumulative
-    probabilities strictly inside (0, 1).  Quadrature over quantile products
-    splits its panels at these points.
+    probabilities strictly inside (0, 1).  A numerical integral over
+    quantile products should split its panels at these points.
     """
     if m.family == "bernoulli":
         (p,) = m.params

@@ -8,12 +8,24 @@ dense linear solves or interval geometry, and z-scores use known moments.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import accumulate
+from statistics import NormalDist
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import kolmogorov, ndtr
 from scipy.stats import kstest
 
-from fhmix import ConcurrenceMatrix, JointPMF, MarginalSpec, atom_bits
+from fhmix import (
+    ConcurrenceMatrix,
+    JointPMF,
+    MarginalSpec,
+    atom_bits,
+    moments,
+    quantile,
+    quantile_jumps,
+)
 from fhmix.bernoulli_joint import _bit_table
 
 KS_ALPHA = 1e-3
@@ -89,6 +101,64 @@ def concurrence_z(x: np.ndarray, y: np.ndarray, target: float) -> float:
     if target in (0.0, 1.0):
         return 0.0 if p_hat == target else math.inf
     return (p_hat - target) / math.sqrt(target * (1.0 - target) / n)
+
+
+# ---------------------------------------------------------------------------
+# correlation-extreme oracles
+# ---------------------------------------------------------------------------
+
+def quad_corr_extremes(mi: MarginalSpec, mj: MarginalSpec) -> tuple[float, float]:
+    """(rho_minus, rho_plus) by adaptive quadrature of raw quantile products.
+
+    Integrates F_i^{-1}(u) F_j^{-1}(u or 1 - u) over (1e-12, 1 - 1e-12),
+    split at the jumps of discrete quantiles, and subtracts mu_i mu_j.  The
+    tolerance is absolute on the raw integral, so keep locations and scales
+    moderate.
+    """
+    (mu_i, sd_i), (mu_j, sd_j) = moments(mi), moments(mj)
+    out = []
+    for antithetic in (True, False):
+        def f(u):
+            return quantile(mi, u) * quantile(mj, 1.0 - u if antithetic else u)
+
+        jumps = {*quantile_jumps(mi), *(1.0 - t if antithetic else t for t in quantile_jumps(mj))}
+        value = quad(f, 1e-12, 1.0 - 1e-12, epsabs=1e-10, epsrel=1e-12, limit=200,
+                     points=sorted(jumps) or None, full_output=True)[0]
+        out.append((value - mu_i * mu_j) / (sd_i * sd_j))
+    return out[0], out[1]
+
+
+def finite_sum_extremes(emp: MarginalSpec, cont: MarginalSpec) -> tuple[float, float]:
+    """(rho_minus, rho_plus) of an empirical against a normal or exponential
+    marginal, as exact finite sums.
+
+    Atom v_k holds u in (c_{k-1}, c_k], where F^{-1}(u) integrates to
+    P(c_k) - P(c_{k-1}) with P(u) = int_0^u F^{-1} in closed form, and
+    F^{-1}(1 - u) to P(1 - c_{k-1}) - P(1 - c_k).  Cumulative weights are
+    summed exactly; the normal quantile is the standard library's.
+    """
+    values, weights = emp.values, emp.weights
+    cum = [0.0, *(float(c) for c in accumulate(Fraction(w) for w in weights))]
+    cum[-1] = 1.0
+    if cont.family == "normal":
+        mean, sd = cont.params
+        std = NormalDist()
+
+        def prim(u):
+            inner = std.pdf(std.inv_cdf(u)) if 0.0 < u < 1.0 else 0.0
+            return mean * u - sd * inner
+    else:
+        (rate,) = cont.params
+
+        def prim(u):
+            return (u + ((1.0 - u) * math.log1p(-u) if u < 1.0 else 0.0)) / rate
+    mu_a = math.fsum(w * v for v, w in zip(values, weights))
+    sd_a = math.sqrt(math.fsum(w * (v - mu_a) ** 2 for v, w in zip(values, weights)))
+    mu_b, sd_b = moments(cont)
+    lo, hi = cum[:-1], cum[1:]
+    plus = math.fsum(v * (prim(b) - prim(a)) for v, a, b in zip(values, lo, hi))
+    minus = math.fsum(v * (prim(1.0 - a) - prim(1.0 - b)) for v, a, b in zip(values, lo, hi))
+    return (minus - mu_a * mu_b) / (sd_a * sd_b), (plus - mu_a * mu_b) / (sd_a * sd_b)
 
 
 # ---------------------------------------------------------------------------

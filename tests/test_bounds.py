@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fhmix import (
     CorrelationExtremes,
@@ -9,11 +11,14 @@ from fhmix import (
     MarginalSpec,
     QuadratureError,
     bernoulli_corr_extremes,
+    bounds,
     corr_extremes,
     moments,
     quantile,
 )
-from helpers import corr_z
+from helpers import corr_z, finite_sum_extremes, quad_corr_extremes
+
+NORMAL_EXPONENTIAL_RHO = 0.9031972855686253  # mpmath, 30 digits
 
 
 def two_point(p: float) -> MarginalSpec:
@@ -23,7 +28,7 @@ def two_point(p: float) -> MarginalSpec:
 
 def test_exponential_pair_extremes():
     ext = corr_extremes(MarginalSpec.exponential(1.0), MarginalSpec.exponential(1.0))
-    assert ext.method == "quadrature"
+    assert ext.method == "closed_form"
     assert ext.rho_minus == pytest.approx(1.0 - math.pi ** 2 / 6.0, abs=1e-6)
     assert ext.rho_plus == pytest.approx(1.0, abs=1e-6)
 
@@ -105,7 +110,7 @@ def test_closed_form_agrees_with_quadrature():
         p, q = rng.uniform(0.05, 0.95, size=2)
         closed = bernoulli_corr_extremes(p, q)
         quadrature = corr_extremes(two_point(p), two_point(q))
-        assert quadrature.method == "quadrature"
+        assert quadrature.method == "closed_form"
         assert quadrature.rho_minus == pytest.approx(closed.rho_minus, abs=1e-7)
         assert quadrature.rho_plus == pytest.approx(closed.rho_plus, abs=1e-7)
 
@@ -180,3 +185,149 @@ def test_extremes_ordering_invariant():
 def test_degenerate_flag():
     assert CorrelationExtremes(0.5, 0.5, "closed_form").degenerate
     assert not CorrelationExtremes(-1.0, 1.0, "closed_form").degenerate
+
+
+def test_normal_exponential_constant():
+    ext = corr_extremes(MarginalSpec.exponential(3.0), MarginalSpec.normal(-2.0, 0.1))
+    assert ext.method == "quadrature"
+    assert ext.rho_plus == pytest.approx(NORMAL_EXPONENTIAL_RHO, abs=1e-12)
+    assert ext.rho_minus == -ext.rho_plus
+
+
+def test_quadrature_runs_once_for_the_normal_exponential_constant(monkeypatch):
+    calls = []
+    original = bounds.quad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "quad", counted)
+    bounds._normal_exponential_rho.cache_clear()
+    ms = [MarginalSpec.uniform(0.0, 1.0), MarginalSpec.exponential(1.0),
+          MarginalSpec.normal(0.0, 1.0), MarginalSpec.bernoulli(0.4),
+          MarginalSpec.empirical([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])]
+    for mi in ms:
+        for mj in ms:
+            if {mi.family, mj.family} != {"normal", "exponential"}:
+                corr_extremes(mi, mj)
+    assert calls == []
+    for rate in (0.5, 1.0, 2.0):
+        corr_extremes(MarginalSpec.normal(rate, 1.0), MarginalSpec.exponential(rate))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "mi,mj,rho",
+    [
+        (MarginalSpec.normal(1e6, 1.0), MarginalSpec.uniform(0.0, 1.0), math.sqrt(3.0 / math.pi)),
+        (MarginalSpec.normal(0.0, 1e6), MarginalSpec.uniform(0.0, 1.0), math.sqrt(3.0 / math.pi)),
+        (MarginalSpec.uniform(1e9, 1e9 + 1.0), MarginalSpec.exponential(1.0), math.sqrt(3.0) / 2.0),
+        (MarginalSpec.exponential(1e-4), MarginalSpec.uniform(0.0, 1.0), math.sqrt(3.0) / 2.0),
+        (MarginalSpec.normal(1e6, 1.0), MarginalSpec.exponential(1.0), NORMAL_EXPONENTIAL_RHO),
+    ],
+)
+def test_large_location_and_scale_give_shape_constants(mi, mj, rho):
+    # each of these raised QuadratureError under an absolute tolerance on the
+    # raw quantile-product integral
+    ext = corr_extremes(mi, mj)
+    assert ext.rho_minus == pytest.approx(-rho, abs=1e-12)
+    assert ext.rho_plus == pytest.approx(rho, abs=1e-12)
+
+
+def test_exponential_against_offset_empirical():
+    # numerical integration of these extremes failed on about one pair in 15
+    rng = np.random.default_rng(123)
+    for _ in range(300):
+        values = np.round(rng.uniform(-5.0, -4.0, size=6), 3)
+        counts = 1 + rng.multinomial(1024 - 6, np.full(6, 1 / 6))
+        emp = MarginalSpec.empirical(values, counts / 1024)
+        expo = MarginalSpec.exponential(round(float(rng.uniform(0.5, 2.0)), 3))
+        ext = corr_extremes(emp, expo)
+        lo, hi = finite_sum_extremes(emp, expo)
+        assert ext.rho_minus == pytest.approx(lo, abs=1e-9)
+        assert ext.rho_plus == pytest.approx(hi, abs=1e-9)
+
+
+@pytest.mark.parametrize("cont", [MarginalSpec.normal(0.3, 2.0), MarginalSpec.exponential(1.5)])
+def test_many_atom_empirical_matches_finite_sums(cont):
+    emp = MarginalSpec.empirical(np.random.default_rng(9).normal(size=3000))
+    ext = corr_extremes(emp, cont)
+    lo, hi = finite_sum_extremes(emp, cont)
+    assert ext.rho_minus == pytest.approx(lo, abs=1e-9)
+    assert ext.rho_plus == pytest.approx(hi, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+@st.composite
+def marginal_and_transform(draw):
+    """A marginal, and a copy moved by a location of up to about 1e9 and
+    scaled by 2^-13 .. 2^20.
+
+    Locations are +-10^d plus a small integer, so that large ones come up
+    often; with power-of-two scales and empirical values in multiples of 1/8
+    the copy's parameters are exact in floating point, so it is the same
+    distribution up to location and scale.  Exponential marginals take the
+    scale through their rate; Bernoulli ones stay put.
+    """
+    family = draw(st.sampled_from(["uniform", "exponential", "normal", "bernoulli", "empirical"]))
+    loc = float(draw(st.sampled_from([-1, 1])) * 10 ** draw(st.integers(0, 9))
+                + draw(st.integers(-1000, 1000)))
+    scale = 2.0 ** draw(st.integers(-13, 20))
+    unit = st.floats(0.25, 4.0)
+    if family == "uniform":
+        a, w = draw(st.floats(-2.0, 2.0)), draw(unit)
+        return (MarginalSpec.uniform(a, a + w),
+                MarginalSpec.uniform(loc + scale * a, loc + scale * (a + w)))
+    if family == "normal":
+        mean, sd = draw(st.floats(-2.0, 2.0)), draw(unit)
+        return MarginalSpec.normal(mean, sd), MarginalSpec.normal(loc + scale * mean, scale * sd)
+    if family == "exponential":
+        rate = draw(unit)
+        return MarginalSpec.exponential(rate), MarginalSpec.exponential(rate / scale)
+    if family == "bernoulli":
+        m = MarginalSpec.bernoulli(draw(st.floats(0.02, 0.98)))
+        return m, m
+    k = draw(st.integers(2, 8))
+    values = [v / 8.0 for v in draw(st.lists(st.integers(-64, 64), min_size=k, max_size=k,
+                                             unique=True))]
+    counts = draw(st.lists(st.integers(1, 16), min_size=k, max_size=k))
+    weights = [c / sum(counts) for c in counts]
+    return (MarginalSpec.empirical(values, weights),
+            MarginalSpec.empirical([loc + scale * v for v in values], weights))
+
+
+def _far_empirical():
+    values, weights = [-1.0, 0.125, 2.0, 3.5], [0.1, 0.2, 0.3, 0.4]
+    moved = [1e9 - 999.0 + 2.0 ** -13 * v for v in values]
+    return MarginalSpec.empirical(values, weights), MarginalSpec.empirical(moved, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=marginal_and_transform(), second=marginal_and_transform())
+@example(first=_far_empirical(), second=_far_empirical())
+@example(first=_far_empirical(), second=(MarginalSpec.uniform(0.0, 1.0),) * 2)
+def test_extremes_invariant_symmetric_and_ordered(first, second):
+    (mi, mi_moved), (mj, mj_moved) = first, second
+    ext = corr_extremes(mi, mj)
+    moved = corr_extremes(mi_moved, mj_moved)
+    assert moved.rho_minus == pytest.approx(ext.rho_minus, abs=1e-12)
+    assert moved.rho_plus == pytest.approx(ext.rho_plus, abs=1e-12)
+    assert moved.method == ext.method
+    for a, b in ((mi, mj), (mi_moved, mj_moved)):
+        e = corr_extremes(a, b)
+        assert corr_extremes(b, a) == e
+        assert -1.0 <= e.rho_minus <= e.rho_plus <= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=marginal_and_transform(), second=marginal_and_transform())
+def test_extremes_match_quadrature_oracle(first, second):
+    mi, mj = first[0], second[0]
+    ext = corr_extremes(mi, mj)
+    lo, hi = quad_corr_extremes(mi, mj)
+    assert ext.rho_minus == pytest.approx(lo, abs=1e-7)
+    assert ext.rho_plus == pytest.approx(hi, abs=1e-7)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from fhmix import cli
 from fhmix.cli import main, parse_config, serialize_config
-from fhmix.errors import ConfigError
+from fhmix.errors import ConfigError, NumericalError
 
 
 def write_config(tmp_path, doc, name="job.json"):
@@ -286,3 +287,23 @@ def test_capacity_error_exits_one(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert main(["plan", "--config", path]) == 1
     assert "n > 12" in capsys.readouterr().err
+
+
+def test_non_string_family_is_usage_error(tmp_path, capsys):
+    doc = exp_pair()
+    doc["marginals"][0] = {"family": ["uniform"], "a": 0.0, "b": 1.0}
+    with pytest.raises(ConfigError):
+        parse_config(json.dumps(doc))
+    path = write_config(tmp_path, doc)
+    assert main(["bounds", "--config", path]) == 2
+    assert "unknown family ['uniform']" in capsys.readouterr().err
+
+
+def test_other_library_errors_exit_one_without_traceback(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise NumericalError("simplex ended on a wrong basis")
+
+    monkeypatch.setattr(cli, "cmd_bounds", fail)
+    path = write_config(tmp_path, exp_pair())
+    assert main(["bounds", "--config", path]) == 1
+    assert capsys.readouterr().err == "error: simplex ended on a wrong basis\n"
