@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri, xlogy
 
 from .errors import DegenerateMarginalError, NumericalError, QuadratureError
-from .marginals import MarginalSpec, _empirical_cum_weights, quantile
+from .marginals import MarginalSpec, _empirical_cum_weights, _empirical_standardization, quantile
 
 #: extremes closer than this are treated as a degenerate (zero-width) interval
 DEGENERATE_WIDTH = 1e-10
@@ -131,12 +131,8 @@ def _standard_atoms(m: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:
     if m.family == "bernoulli":
         (p,) = m.params
         return np.array([-p, 1.0 - p]) / math.sqrt(p * (1.0 - p)), np.array([0.0, 1.0 - p, 1.0])
-    # offsets from the first atom are exact for clustered values, so a large
-    # location costs no precision
-    d = np.asarray(m.values) - m.values[0]
-    w = np.asarray(m.weights)
-    d -= w @ d
-    return d / math.sqrt(w @ (d * d)), np.concatenate(([0.0], _empirical_cum_weights(m)))
+    _, sd, d = _empirical_standardization(m)
+    return d / sd, np.concatenate(([0.0], _empirical_cum_weights(m)))
 
 
 def _primitive(m: MarginalSpec, u: np.ndarray) -> np.ndarray:

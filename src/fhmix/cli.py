@@ -28,10 +28,11 @@ triangle row-major: [m21, m31, m32, m41, ...].
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,14 +42,17 @@ from .marginals import _FAMILY_FIELDS, MarginalSpec, moments
 from .sampler import (
     CorrelationMatrix,
     SamplingPlan,
+    _batch_values,
+    _generator,
     build_plan,
     build_plan_from_concurrence,
-    sample_batch,
 )
 
 Z_LIMIT = 4.0
 # stand-in for an infinite z-score; keeps the verify report strict JSON
 Z_HUGE = 1e18
+#: rows drawn and written at a time by ``sample``; memory stays bounded
+CHUNK_ROWS = 1 << 14
 
 @dataclass(frozen=True)
 class JobConfig:
@@ -197,15 +201,24 @@ def _plan_from_config(cfg: JobConfig) -> SamplingPlan:
     return build_plan_from_concurrence(cfg.marginals, conc, alpha=cfg.alpha)
 
 
+def _feasible_plan(cfg: JobConfig) -> SamplingPlan | None:
+    """The job's plan, or None after printing why it is infeasible."""
+    plan = _plan_from_config(cfg)
+    if plan.feasible:
+        return plan
+    print(plan.diagnostics, file=sys.stderr)
+    return None
+
+
 def _load_config(path: str) -> JobConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
 
 
-def _open_out(path: str | None):
+def _output(path: str | None):
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +229,12 @@ def cmd_bounds(cfg: JobConfig, out_path: str | None) -> int:
     from .sampler import pairwise_extremes
 
     table = pairwise_extremes(cfg.marginals)
-    out, close = _open_out(out_path)
-    try:
+    with _output(out_path) as out:
         out.write("i,j,rho_minus,rho_plus\n")
         for i in range(cfg.n):
             for j in range(i + 1, cfg.n):
                 ext = table[i][j]
                 out.write(f"{i + 1},{j + 1},{ext.rho_minus:.6f},{ext.rho_plus:.6f}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -246,12 +255,8 @@ def cmd_plan(cfg: JobConfig, out_path: str | None) -> int:
     if plan.recipe and plan.recipe.alpha_interval is not None:
         iv = plan.recipe.alpha_interval
         doc["alpha_interval"] = [iv.lo, iv.hi]
-    out, close = _open_out(out_path)
-    try:
+    with _output(out_path) as out:
         out.write(json.dumps(doc, indent=2) + "\n")
-    finally:
-        if close:
-            out.close()
     if not plan.feasible:
         print(plan.diagnostics, file=sys.stderr)
         return 1
@@ -259,24 +264,19 @@ def cmd_plan(cfg: JobConfig, out_path: str | None) -> int:
 
 
 def cmd_sample(cfg: JobConfig, out_path: str | None) -> int:
-    plan = _plan_from_config(cfg)
-    if not plan.feasible:
-        print(plan.diagnostics, file=sys.stderr)
+    """Write the rows of ``sample_batch`` for each stream, CHUNK_ROWS at a time."""
+    plan = _feasible_plan(cfg)
+    if plan is None:
         return 1
-
-    counts = _split_count(cfg.count, cfg.streams)
-    out, close = _open_out(out_path)
-    try:
+    row = ",".join(["%r"] * cfg.n) + "\n"
+    with _output(out_path) as out:
         out.write(",".join(f"x{i + 1}" for i in range(cfg.n)) + "\n")
-        for stream_id, c in enumerate(counts):
-            if c == 0:
-                continue
-            batch = sample_batch(plan, c, cfg.seed, stream_id)
-            lines = [",".join(repr(v) for v in row) for row in batch.values.tolist()]
-            out.write("\n".join(lines) + "\n")
-    finally:
-        if close:
-            out.close()
+        for stream_id, c in enumerate(_split_count(cfg.count, cfg.streams)):
+            rng = _generator(cfg.seed, stream_id)
+            for start in range(0, c, CHUNK_ROWS):
+                rows = min(CHUNK_ROWS, c - start)
+                block = _batch_values(plan, rows, rng)
+                out.write(row * rows % tuple(block.ravel().tolist()))
     return 0
 
 
@@ -286,9 +286,8 @@ def _split_count(count: int, streams: int) -> list[int]:
 
 
 def cmd_verify(cfg: JobConfig, csv_path: str, out_path: str | None) -> int:
-    plan = _plan_from_config(cfg)
-    if not plan.feasible:
-        print(plan.diagnostics, file=sys.stderr)
+    plan = _feasible_plan(cfg)
+    if plan is None:
         return 1
     data = _load_csv(csv_path, cfg.n)
     checks = _verification_checks(plan, data)
@@ -296,12 +295,8 @@ def cmd_verify(cfg: JobConfig, csv_path: str, out_path: str | None) -> int:
     ok = bool(max_z <= Z_LIMIT)
     doc = {"count": int(data.shape[0]), "checks": checks,
            "max_abs_z": max_z, "pass": ok}
-    out, close = _open_out(out_path)
-    try:
+    with _output(out_path) as out:
         out.write(json.dumps(doc, indent=2) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0 if ok else 1
 
 
@@ -429,16 +424,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be nonnegative")
-            cfg = JobConfig(cfg.marginals, cfg.correlation, cfg.concurrence,
-                            cfg.count, args.seed, cfg.streams, cfg.alpha)
-        if args.streams is not None:
-            if args.streams < 1:
-                raise ConfigError("--streams must be >= 1")
-            cfg = JobConfig(cfg.marginals, cfg.correlation, cfg.concurrence,
-                            cfg.count, cfg.seed, args.streams, cfg.alpha)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be nonnegative")
+        if args.streams is not None and args.streams < 1:
+            raise ConfigError("--streams must be >= 1")
+        cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
+                      streams=cfg.streams if args.streams is None else args.streams)
 
         if args.command == "bounds":
             return cmd_bounds(cfg, args.out)

@@ -217,13 +217,10 @@ def moments(m: MarginalSpec) -> tuple[float, float]:
     if m.family == "bernoulli":
         (p,) = m.params
         return p, math.sqrt(p * (1.0 - p))
-    vals = np.asarray(m.values, dtype=float)
-    wts = np.asarray(m.weights, dtype=float)
-    mean = float(wts @ vals)
-    var = float(wts @ (vals - mean) ** 2)
-    if var <= 0.0:
+    mean, sd, _ = _empirical_standardization(m)
+    if sd <= 0.0:
         raise InvalidMarginalError("empirical marginal has zero variance")
-    return mean, math.sqrt(var)
+    return mean, sd
 
 
 def quantile_jumps(m: MarginalSpec) -> tuple[float, ...]:
@@ -246,3 +243,13 @@ def _empirical_cum_weights(m: MarginalSpec) -> np.ndarray:
     cumw = np.cumsum(np.asarray(m.weights, dtype=float))
     cumw[-1] = 1.0
     return cumw
+
+
+def _empirical_standardization(m: MarginalSpec) -> tuple[float, float, np.ndarray]:
+    """Mean, sd and centred atoms x - mean of an empirical, from offsets to the
+    first atom: exact for clustered values, so a large location costs nothing."""
+    d = np.asarray(m.values) - m.values[0]
+    w = np.asarray(m.weights)
+    shift = float(w @ d)
+    d -= shift
+    return m.values[0] + shift, math.sqrt(w @ (d * d)), d

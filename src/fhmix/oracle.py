@@ -196,6 +196,8 @@ def _phase1_float(A: np.ndarray,
 def _simplex_iterate(T: np.ndarray, basis: list[int], bland: bool, max_iter: int) -> bool:
     m = T.shape[0] - 1
     for _ in range(max_iter):
+        if T[m, -1] >= -_PIVOT_TOL:  # a zero objective is optimal; later pivots are degenerate
+            return True
         red = T[m, :-1]
         if bland:
             neg = np.nonzero(red < -_PIVOT_TOL)[0]

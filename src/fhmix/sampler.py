@@ -21,7 +21,9 @@ Each X_i is an even mixture of F_i^{-1}(U) and F_i^{-1}(1 - U), so marginals
 are preserved exactly, and Corr(X_i, X_j) = lambda_ij rho+ + (1-lambda_ij) rho-.
 
 One U is shared by the whole vector; only the agreement pattern of B decides
-which coordinates ride it forwards or backwards.
+which coordinates ride it forwards or backwards.  Each row draws its own U and
+then the uniform that picks B, so a batch of k rows is the first k rows of any
+longer batch, and ``fhmix sample`` streams chunks through the same code.
 """
 
 from __future__ import annotations
@@ -305,8 +307,8 @@ def _checked_alpha(alpha: float, interval: AlphaInterval) -> float:
 def sample_vector(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
     """Draw one vector from a feasible plan: a batch of one.
 
-    Draw order is fixed (one open-interval uniform U, then the recipe draw),
-    so a given generator state always yields the same vector.
+    Draw order is fixed (U, then the recipe uniform), so a given generator
+    state always yields the same vector.
     """
     _require_feasible(plan)
     return _batch_values(plan, 1, rng)[0]
@@ -318,28 +320,29 @@ def sample_batch(plan: SamplingPlan, count: int, seed: int, stream_id: int = 0) 
     The generator is PCG64 keyed by hashing (seed, stream_id) through
     numpy's SeedSequence, so equal keys reproduce the batch bit-exactly and
     distinct stream ids give independent streams safe to generate in
-    parallel.
+    parallel.  Each row consumes two uniforms of its own, so a batch of k
+    rows is the first k rows of any longer batch with the same key.
     """
     _require_feasible(plan)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    seed = int(seed)
-    stream_id = int(stream_id)
+    values = _batch_values(plan, int(count), _generator(seed, stream_id))
+    values.flags.writeable = False
+    return SampleBatch(int(count), plan.n, values, int(seed), int(stream_id))
+
+
+def _generator(seed: int, stream_id: int) -> np.random.Generator:
+    seed, stream_id = int(seed), int(stream_id)
     if seed < 0 or stream_id < 0:
         raise DomainError("seed and stream_id must be nonnegative integers")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, stream_id]))
-    values = _batch_values(plan, int(count), rng)
-    values.flags.writeable = False
-    return SampleBatch(int(count), plan.n, values, seed, stream_id)
+    return np.random.default_rng(np.random.SeedSequence(entropy=[seed, stream_id]))
 
 
 def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(count)
-    zero = u == 0.0
-    while zero.any():
-        u[zero] = rng.random(int(zero.sum()))
-        zero = u == 0.0
-    atoms = np.searchsorted(plan.recipe.cdf, rng.random(count), side="right")
+    # row k is (U, recipe uniform): calls in turn concatenate to one call
+    u, atoms = rng.random((count, 2)).T
+    u = np.where(u > 0.0, u, 0.5)  # P(U = 0) = 2^-53; U, 1 - U stay equal in law
+    atoms = np.searchsorted(plan.recipe.cdf, atoms, side="right")
     n = plan.n
     out = np.empty((count, n))
     for i, m in enumerate(plan.marginals):

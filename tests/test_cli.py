@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,3 +308,41 @@ def test_other_library_errors_exit_one_without_traceback(tmp_path, capsys, monke
     path = write_config(tmp_path, exp_pair())
     assert main(["bounds", "--config", path]) == 1
     assert capsys.readouterr().err == "error: simplex ended on a wrong basis\n"
+
+
+def test_sample_writes_sample_batch_in_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    path = write_config(tmp_path, exp_pair(count=101, streams=2))
+    out = tmp_path / "chunked.csv"
+    assert main(["sample", "--config", path, "--out", str(out)]) == 0
+    from fhmix import CorrelationMatrix, build_plan, sample_batch
+
+    cfg = parse_config((tmp_path / "job.json").read_text())
+    plan = build_plan(cfg.marginals, CorrelationMatrix.from_lower_triangle([0.0], 2))
+    rows = [row for stream_id, c in enumerate((51, 50))
+            for row in sample_batch(plan, c, cfg.seed, stream_id).values.tolist()]
+    assert out.read_text() == "x1,x2\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows)
+
+
+def test_sample_memory_does_not_grow_with_count(tmp_path):
+    doc = {
+        "marginals": [{"family": "uniform", "a": 0.0, "b": 1.0},
+                      {"family": "exponential", "rate": 1.0},
+                      {"family": "normal", "mean": 0.0, "sd": 1.0},
+                      {"family": "empirical", "values": [0.0, 1.0, 4.0]}],
+        "correlation": [0.2, 0.1, 0.0, 0.1, 0.1, 0.1],
+        "seed": 3,
+    }
+
+    def peak(count):
+        path = write_config(tmp_path, dict(doc, count=count))
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--config", path, "--out", str(tmp_path / "m.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rows = 2 * cli.CHUNK_ROWS
+    peak(10)  # one-time caches
+    assert peak(4 * rows) <= 1.25 * peak(rows)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,6 +120,25 @@ def test_empirical_moments_match_numpy():
     w = np.array(wts)
     assert mu == pytest.approx(float(w @ v), abs=1e-15)
     assert sd == pytest.approx(math.sqrt(float(w @ (v - mu) ** 2)), abs=1e-15)
+
+
+def test_empirical_moments_ignore_location():
+    # values loc + 2^j v are exact in binary, so Fraction gives the true sd
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(2000):
+        k = int(rng.integers(2, 9))
+        loc = int(rng.integers(0, 10 ** 9))
+        scale = 2.0 ** int(rng.integers(-13, 21))
+        offsets = rng.choice(np.arange(-40, 41), size=k, replace=False) / 8
+        counts = rng.integers(1, 64, size=k)
+        m = MarginalSpec.empirical([loc + scale * v for v in offsets], counts / counts.sum())
+        xs = [Fraction(v) for v in m.values]
+        ws = [Fraction(w) for w in m.weights]
+        mean = sum(w * x for w, x in zip(ws, xs)) / sum(ws)
+        sd = math.sqrt(sum(w * (x - mean) ** 2 for w, x in zip(ws, xs)) / sum(ws))
+        worst = max(worst, abs(moments(m)[1] - sd) / sd)
+    assert worst <= 1e-13
 
 
 def test_quantile_monotone():

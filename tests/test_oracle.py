@@ -170,3 +170,20 @@ def test_pushforward_rejects_ragged_maps():
     law = JointPMF(2, np.array([0.25, 0.25, 0.25, 0.25]))
     with pytest.raises(DomainError):
         pushforward(law, lambda bits: bits[:1] if bits[0] else bits)
+
+
+# a feasible fair-coin input (lower triangle x32) whose phase-1 simplex reaches
+# a zero objective on a degenerate vertex and then used to pivot without end
+DEGENERATE_N11 = [18, 18, 8, 10, 16, 8, 20, 18, 14, 10, 16, 22, 18, 14, 16, 12, 22, 10, 18,
+                  12, 20, 12, 14, 10, 18, 12, 8, 16, 14, 16, 12, 16, 22, 10, 10, 22, 18, 16,
+                  12, 16, 14, 10, 14, 26, 20, 16, 18, 14, 14, 16, 12, 20, 20, 18, 26]
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_zero_phase1_objective_stops_the_simplex(mode):
+    conc = ConcurrenceMatrix.from_lower_triangle([v / 32 for v in DEGENERATE_N11], 11)
+    w = lp_feasible([0.5] * 11, conc, mode=mode)
+    assert w.feasible and w.mode == mode
+    assert pmf_residual(w.pmf, [0.5] * 11, conc.entries) <= 1e-12
+    if mode == "exact":
+        assert w.max_residual == 0.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhmix import (
     CapacityError,
@@ -17,10 +19,12 @@ from fhmix import (
     build_plan_from_concurrence,
     convexity_from_correlation,
     moments,
+    quantile,
     sample_batch,
     sample_vector,
 )
-from helpers import KS_ALPHA, concurrence_z, corr_z, ks_pvalue, mean_z
+from fhmix.sampler import _batch_values, _generator
+from helpers import KS_ALPHA, concurrence_z, corr_z, ks_pvalue, mean_z, random_pmf
 
 UNIFORM = MarginalSpec.uniform(0.0, 1.0)
 EXP = MarginalSpec.exponential(1.0)
@@ -294,3 +298,54 @@ def test_sample_batch_input_guards():
         sample_batch(plan, 0, seed=1)
     with pytest.raises(DomainError):
         sample_batch(plan, 10, seed=-1)
+
+
+# ---------------------------------------------------------------------------
+# draw order
+# ---------------------------------------------------------------------------
+
+MIXED = [UNIFORM, EXP, MarginalSpec.normal(-1.0, 2.0), MarginalSpec.bernoulli(0.3),
+         MarginalSpec.empirical([0.0, 1.0, 4.0], [0.5, 0.25, 0.25])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    law_seed=st.integers(0, 2 ** 32 - 1),
+    seed=st.integers(0, 2 ** 63),
+    stream_id=st.integers(0, 3),
+    chunks=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_chunks_concatenate_to_one_batch(n, law_seed, seed, stream_id, chunks, data):
+    marginals = data.draw(st.lists(st.sampled_from(MIXED), min_size=n, max_size=n))
+    # any law's concurrences are feasible for fair coins (symmetrize it)
+    conc = random_pmf(np.random.default_rng(law_seed), n).concurrence_matrix()
+    plan = build_plan_from_concurrence(marginals, conc)
+    rng = _generator(seed, stream_id)
+    parts = np.concatenate([_batch_values(plan, c, rng) for c in chunks])
+    whole = sample_batch(plan, sum(chunks), seed, stream_id).values
+    assert parts.tobytes() == whole.tobytes()
+
+
+def test_batch_is_a_prefix_of_any_longer_batch():
+    plan = build_plan([UNIFORM] * 3, CorrelationMatrix.filled(3, 0.2))
+    longer = sample_batch(plan, 20, seed=5).values
+    assert sample_batch(plan, 10, seed=5).values.tobytes() == longer[:10].tobytes()
+    for k in range(1, 21):
+        assert sample_batch(plan, k, seed=5).values.tobytes() == longer[:k].tobytes()
+
+
+class _ZeroGenerator:
+    """Stand-in for a Generator whose every uniform is exactly 0.0."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_zero_uniform_draws_the_median():
+    marginals = [UNIFORM, EXP, MarginalSpec.normal(0.0, 1.0)]
+    plan = build_plan(marginals, CorrelationMatrix.filled(3, 0.2))
+    rows = _batch_values(plan, 3, _ZeroGenerator())
+    assert np.isfinite(rows).all()
+    assert rows.tolist() == [[quantile(m, 0.5) for m in marginals]] * 3
