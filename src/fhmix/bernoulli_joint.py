@@ -30,6 +30,7 @@ slack of 1e-12.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ from .errors import (
     InvalidMatrixError,
     NumericalError,
 )
+from .inversion import InverseCdf, cumulative
 
 #: absolute slack for feasibility comparisons and atom nonnegativity
 FEAS_TOL = 1e-12
@@ -205,12 +207,18 @@ class JointPMF:
                 m[i, j] = m[j, i] = self.concurrence(i, j)
         return ConcurrenceMatrix(m)
 
+    @functools.cached_property
+    def _atom_search(self) -> tuple[np.ndarray, InverseCdf]:
+        """Support atoms and an inversion search over their cdf, built on
+        first use; zero-mass atoms are never drawn."""
+        support = np.flatnonzero(self.probs)
+        return support, InverseCdf(cumulative(self.probs[support]), "right")
+
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw atoms by inversion; returns bits, shape (n,) or (size, n)."""
-        cdf = np.cumsum(self.probs)
-        cdf[-1] = 1.0
+        support, search = self._atom_search
         count = 1 if size is None else int(size)
-        idx = np.searchsorted(cdf, rng.random(count), side="right")
+        idx = support[search.index(rng.random(count))]
         bits = _bit_table(self.n)[idx]
         if size is None:
             return bits[0]

@@ -10,6 +10,7 @@ construction: correlation targets are meaningless for them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError, InvalidMarginalError
+from .inversion import InverseCdf, cumulative
 
 #: family name -> parameter names, in the order its MarginalSpec constructor
 #: takes them; config files use these names as keys
@@ -164,6 +166,11 @@ class MarginalSpec:
             raise InvalidMarginalError(f"{self.family} takes 2 parameters, got {self.params}")
         return self.params
 
+    @functools.cached_property
+    def _inverse_cdf(self) -> InverseCdf:
+        """Search over an empirical's cumulative weights, built on first use."""
+        return InverseCdf(cumulative(self.weights), "left")
+
     def __str__(self) -> str:
         if self.family == "empirical":
             return f"empirical({len(self.values or ())} atoms)"
@@ -180,26 +187,36 @@ def quantile(m: MarginalSpec, u):
     arr = np.asarray(u, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
         raise DomainError("quantile argument must lie in the open interval (0, 1)")
-
-    if m.family == "uniform":
-        a, b = m.params
-        out = a + (b - a) * arr
-    elif m.family == "exponential":
-        (rate,) = m.params
-        out = -np.log1p(-arr) / rate
-    elif m.family == "normal":
-        mean, sd = m.params
-        out = mean + sd * ndtri(arr)
-    elif m.family == "bernoulli":
-        (p,) = m.params
-        out = np.where(arr > 1.0 - p, 1.0, 0.0)
-    else:  # empirical
-        cumw = _empirical_cum_weights(m)
-        idx = np.searchsorted(cumw, arr, side="left")
-        out = np.asarray(m.values, dtype=float)[idx]
-
+    out = _quantile_into(m, arr, np.empty_like(arr))
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(out)
+    return out
+
+
+def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`quantile` of ``u`` written into ``out``, which may be ``u``
+    itself, with no range check: the one formula per family that both
+    ``quantile`` and the sampler evaluate."""
+    if m.family == "uniform":
+        a, b = m.params
+        np.multiply(u, b - a, out=out)
+        np.add(out, a, out=out)
+    elif m.family == "exponential":
+        (rate,) = m.params
+        np.negative(u, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        np.divide(out, rate, out=out)
+    elif m.family == "normal":
+        mean, sd = m.params
+        ndtri(u, out=out)
+        np.multiply(out, sd, out=out)
+        np.add(out, mean, out=out)
+    elif m.family == "bernoulli":
+        (p,) = m.params
+        np.greater(u, 1.0 - p, out=out)
+    else:  # empirical
+        np.take(m.values, m._inverse_cdf.index(u), out=out)
     return out
 
 
@@ -234,15 +251,9 @@ def quantile_jumps(m: MarginalSpec) -> tuple[float, ...]:
         (p,) = m.params
         return (1.0 - p,)
     if m.family == "empirical":
-        cumw = _empirical_cum_weights(m)
+        cumw = cumulative(m.weights)
         return tuple(float(c) for c in cumw[:-1] if 0.0 < c < 1.0)
     return ()
-
-
-def _empirical_cum_weights(m: MarginalSpec) -> np.ndarray:
-    cumw = np.cumsum(np.asarray(m.weights, dtype=float))
-    cumw[-1] = 1.0
-    return cumw
 
 
 def _empirical_standardization(m: MarginalSpec) -> tuple[float, float, np.ndarray]:

@@ -24,10 +24,20 @@ One U is shared by the whole vector; only the agreement pattern of B decides
 which coordinates ride it forwards or backwards.  Each row draws its own U and
 then the uniform that picks B, so a batch of k rows is the first k rows of any
 longer batch, and ``fhmix sample`` streams chunks through the same code.
+
+A batch is evaluated in chunks of ``CHUNK_ROWS`` rows, small enough that the
+chunk's working set stays in a per-core L2 cache.  Per chunk, B is found by a
+guide-table search (:mod:`fhmix.inversion`) over the cdf of the recipe's
+support atoms only, so an atom of zero mass is never drawn; U or 1 - U is
+picked for every coordinate by an exact bit select with the atom's flip
+masks, written straight into the chunk's rows of the output; and each
+column is then mapped through its quantile, by the same kernels
+:func:`fhmix.marginals.quantile` uses, via one contiguous scratch row.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +56,15 @@ from .errors import (
     InfeasibleError,
     UnachievableCorrelationError,
 )
-from .marginals import MarginalSpec, quantile
+# ``quantile`` stays importable from here: bench/tracing.py wraps it by name
+from .marginals import MarginalSpec, _quantile_into, quantile  # noqa: F401
 from .oracle import lp_feasible
 
 #: slack when checking a target correlation against its extremes
 RHO_SLACK = 1e-9
+#: rows drawn per chunk: at n = 12 the chunk's output rows (768 KiB) and
+#: its per-row scratch (~0.5 MiB) stay within a 2 MiB per-core L2
+CHUNK_ROWS = 2 ** 13
 
 # For fair-coin marginals the probability that two coordinates agree equals
 # the convexity weight of their correlation, so the two matrix types coincide.
@@ -65,22 +79,25 @@ class CorrelationMatrix(_UnitDiagonalMatrix):
 
 @dataclass(frozen=True)
 class BernoulliRecipe:
-    """Compiled fair-coin vector source: a pmf over {0,1}^n plus its cdf."""
+    """Compiled fair-coin vector source: a pmf over {0,1}^n.
+
+    The draw tables (the pmf's support atoms and the guide-table search
+    over their cdf, and the flip masks) are built on the first draw and
+    cached, so compiling a plan that is never drawn from costs nothing here.
+    """
 
     kind: str  # "bivariate" | "trivariate" | "quadrivariate" | "oracle_pmf"
     pmf: JointPMF
-    alpha: float | None
-    alpha_interval: AlphaInterval | None
-    cdf: np.ndarray
+    alpha: float | None = None
+    alpha_interval: AlphaInterval | None = None
 
-    @classmethod
-    def from_pmf(cls, kind: str, pmf: JointPMF,
-                 alpha: float | None = None,
-                 alpha_interval: AlphaInterval | None = None) -> "BernoulliRecipe":
-        cdf = np.cumsum(pmf.probs)
-        cdf[-1] = 1.0
-        cdf.flags.writeable = False
-        return cls(kind, pmf, alpha, alpha_interval, cdf)
+    @functools.cached_property
+    def _flip_masks(self) -> np.ndarray:
+        """(support, n) uint64 table: all ones where coordinate i of a
+        support atom has bit 0, i.e. rides 1 - U; zero where it rides U."""
+        support, _ = self.pmf._atom_search
+        rides_u = (support[:, None] >> np.arange(self.pmf.n - 1, -1, -1)) & 1
+        return np.where(rides_u == 1, np.uint64(0), ~np.uint64(0))
 
 
 @dataclass(frozen=True)
@@ -228,7 +245,7 @@ def _finish_plan(ms, target, ext, lam: ConvexityMatrix, alpha: float | None) -> 
     diagnostics = "feasible"
 
     if n == 2:
-        recipe = BernoulliRecipe.from_pmf("bivariate", bj.bivariate_pmf(e[0, 1]))
+        recipe = BernoulliRecipe("bivariate", bj.bivariate_pmf(e[0, 1]))
     elif n == 3:
         s = e[0, 1] + e[0, 2] + e[1, 2]
         m = min(e[0, 1], e[0, 2], e[1, 2])
@@ -248,7 +265,7 @@ def _finish_plan(ms, target, ext, lam: ConvexityMatrix, alpha: float | None) -> 
             interval = bj.trivariate_alpha_interval(e[0, 1], e[0, 2], e[1, 2])
             a = interval.midpoint if alpha is None else _checked_alpha(alpha, interval)
             pmf = bj.trivariate_pmf(e[0, 1], e[0, 2], e[1, 2], a)
-            recipe = BernoulliRecipe.from_pmf("trivariate", pmf, a, interval)
+            recipe = BernoulliRecipe("trivariate", pmf, a, interval)
     elif n == 4:
         interval = bj.quadrivariate_alpha_interval(lam)
         if not interval.feasible:
@@ -261,7 +278,7 @@ def _finish_plan(ms, target, ext, lam: ConvexityMatrix, alpha: float | None) -> 
         else:
             a = interval.midpoint if alpha is None else _checked_alpha(alpha, interval)
             pmf = bj.quadrivariate_lifted_pmf(lam, a)
-            recipe = BernoulliRecipe.from_pmf("quadrivariate", pmf, a, interval)
+            recipe = BernoulliRecipe("quadrivariate", pmf, a, interval)
     else:
         bad = bj.violated_principal_submatrix(lam)
         if bad is not None:
@@ -274,7 +291,7 @@ def _finish_plan(ms, target, ext, lam: ConvexityMatrix, alpha: float | None) -> 
         else:
             witness = lp_feasible([0.5] * n, lam)
             if witness.feasible:
-                recipe = BernoulliRecipe.from_pmf("oracle_pmf", witness.pmf)
+                recipe = BernoulliRecipe("oracle_pmf", witness.pmf)
             else:
                 feasible = False
                 diagnostics = f"infeasible concurrence matrix: {witness.certificate}"
@@ -339,16 +356,33 @@ def _generator(seed: int, stream_id: int) -> np.random.Generator:
 
 
 def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> np.ndarray:
-    # row k is (U, recipe uniform): calls in turn concatenate to one call
-    u, atoms = rng.random((count, 2)).T
-    u = np.where(u > 0.0, u, 0.5)  # P(U = 0) = 2^-53; U, 1 - U stay equal in law
-    atoms = np.searchsorted(plan.recipe.cdf, atoms, side="right")
-    n = plan.n
-    out = np.empty((count, n))
-    for i, m in enumerate(plan.marginals):
-        bits = (atoms >> (n - 1 - i)) & 1
-        w = np.where(bits == 1, u, 1.0 - u)
-        out[:, i] = quantile(m, w)
+    _, search = plan.recipe.pmf._atom_search
+    masks = plan.recipe._flip_masks
+    out = np.empty((count, plan.n))
+    scratch = np.empty(min(count, CHUNK_ROWS))
+    for start in range(0, count, CHUNK_ROWS):
+        k = min(CHUNK_ROWS, count - start)
+        # each row is (U, recipe uniform): chunks, and calls in turn,
+        # concatenate to one call
+        u, atom_u = rng.random((k, 2)).T.copy()
+        if not u.all():
+            u[u == 0.0] = 0.5  # P(U = 0) = 2^-53; U, 1 - U stay equal in law
+        # w = u where the row's atom rides U, else 1 - u: the mask is all
+        # ones or all zeros, so w's bits are exactly u's or 1 - u's
+        u_bits = u.view(np.uint64)[:, None]
+        diff = (1.0 - u).view(np.uint64)[:, None]
+        diff ^= u_bits
+        rows = out[start:start + k]
+        w = rows.view(np.uint64)
+        np.take(masks, search.index(atom_u), axis=0, out=w, mode="clip")
+        w &= diff
+        w ^= u_bits
+        # each column's quantiles go through a contiguous row, never in
+        # place on the strided column: numpy 2.4.6 computes an in-place
+        # negative on 64-byte strides wrongly
+        row = scratch[:k]
+        for i, m in enumerate(plan.marginals):
+            rows[:, i] = _quantile_into(m, rows[:, i], row)
     return out
 
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from fhmix import DomainError, InvalidMarginalError, MarginalSpec, moments, quantile
+from fhmix.marginals import _quantile_into
 from helpers import KS_ALPHA, ks_pvalue, mean_z
 
 ALL_FAMILIES = [
@@ -44,6 +45,47 @@ def test_quantile_vectorized_matches_scalar():
         vec = quantile(m, u)
         scal = np.array([quantile(m, float(v)) for v in u])
         assert np.array_equal(vec, scal)
+
+
+def reference_quantile(m: MarginalSpec, u: np.ndarray) -> np.ndarray:
+    """Each family's formula written out plainly, as the library had it
+    before the in-place kernels: the kernels must keep every rounding."""
+    if m.family == "uniform":
+        a, b = m.params
+        return a + (b - a) * u
+    if m.family == "exponential":
+        (rate,) = m.params
+        return -np.log1p(-u) / rate
+    if m.family == "normal":
+        mean, sd = m.params
+        return mean + sd * ndtri(u)
+    if m.family == "bernoulli":
+        (p,) = m.params
+        return np.where(u > 1.0 - p, 1.0, 0.0)
+    cumw = np.cumsum(m.weights)
+    cumw[-1] = 1.0
+    return np.asarray(m.values)[np.searchsorted(cumw, u, side="left")]
+
+
+@pytest.mark.parametrize("m", ALL_FAMILIES + [
+    MarginalSpec.exponential(3.0),
+    MarginalSpec.uniform(1e9, 1e9 + 7.0),
+    MarginalSpec.empirical(np.arange(48.0) ** 2, np.arange(1.0, 49.0) / 1176.0),
+])
+def test_public_and_sampler_quantiles_agree_bit_for_bit(m):
+    rng = np.random.default_rng(17)
+    edges = [1.0 - m.params[0]] if m.family == "bernoulli" else []
+    if m.family == "empirical":
+        edges = list(np.cumsum(m.weights)[:-1])
+    u = np.concatenate([rng.random(20_000), edges, np.nextafter(edges, 0.0),
+                        np.nextafter(edges, 1.0), [2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]])
+    u = u[(u > 0.0) & (u < 1.0)]
+    in_place = u.copy()
+    _quantile_into(m, in_place, in_place)
+    expected = reference_quantile(m, u).tobytes()
+    assert in_place.tobytes() == expected
+    assert quantile(m, u).tobytes() == expected
+    assert np.array([quantile(m, float(v)) for v in u[-50:]]).tobytes() == expected[-50 * 8:]
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, math.nan])

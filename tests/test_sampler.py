@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhmix import (
+    BernoulliRecipe,
     CapacityError,
     ConcurrenceMatrix,
     CorrelationExtremes,
@@ -13,6 +16,7 @@ from fhmix import (
     DomainError,
     InfeasibleError,
     InvalidMatrixError,
+    JointPMF,
     MarginalSpec,
     UnachievableCorrelationError,
     build_plan,
@@ -23,6 +27,7 @@ from fhmix import (
     sample_batch,
     sample_vector,
 )
+from fhmix import sampler
 from fhmix.sampler import _batch_values, _generator
 from helpers import KS_ALPHA, concurrence_z, corr_z, ks_pvalue, mean_z, random_pmf
 
@@ -336,6 +341,13 @@ def test_batch_is_a_prefix_of_any_longer_batch():
         assert sample_batch(plan, k, seed=5).values.tobytes() == longer[:k].tobytes()
 
 
+def test_draw_chunk_size_does_not_change_the_bytes(monkeypatch):
+    plan = build_plan(MIXED, CorrelationMatrix.filled(5, 0.1))
+    whole = sample_batch(plan, 1000, seed=3).values
+    monkeypatch.setattr(sampler, "CHUNK_ROWS", 7)
+    assert sample_batch(plan, 1000, seed=3).values.tobytes() == whole.tobytes()
+
+
 class _ZeroGenerator:
     """Stand-in for a Generator whose every uniform is exactly 0.0."""
 
@@ -349,3 +361,77 @@ def test_zero_uniform_draws_the_median():
     rows = _batch_values(plan, 3, _ZeroGenerator())
     assert np.isfinite(rows).all()
     assert rows.tolist() == [[quantile(m, 0.5) for m in marginals]] * 3
+
+
+class _ScriptedGenerator:
+    """Stand-in for a Generator: every row's U is ``u``, and the recipe
+    uniforms are ``atom_uniforms`` in turn."""
+
+    def __init__(self, u: float, atom_uniforms):
+        self.u = u
+        self.atom_uniforms = list(atom_uniforms)
+
+    def random(self, size):
+        if isinstance(size, int):  # JointPMF.sample draws recipe uniforms only
+            rows, self.atom_uniforms = self.atom_uniforms[:size], self.atom_uniforms[size:]
+            return np.array(rows)
+        k, _ = size
+        rows = np.column_stack([np.full(k, self.u), self.atom_uniforms[:k]])
+        self.atom_uniforms = self.atom_uniforms[k:]
+        return rows
+
+
+def _drawn_atoms(plan, atom_uniforms) -> np.ndarray:
+    """Recipe atoms the sampler draws for these recipe uniforms, read off
+    uniform(0, 1) coordinates: bit i is 1 where x_i rides U = 1/4."""
+    rows = _batch_values(plan, len(atom_uniforms), _ScriptedGenerator(0.25, atom_uniforms))
+    assert np.isin(rows, [0.25, 0.75]).all()
+    return (rows == 0.25) @ (1 << np.arange(plan.n - 1, -1, -1))
+
+
+def test_uniform_past_the_float_support_sum_draws_the_last_support_atom():
+    # the support (atoms 00, 01, 10) sums to 1 - 2^-53 in floats and atom 11
+    # has zero mass; a search over the full cdf, whose last entry is forced
+    # to 1, drew atom 11 for a recipe uniform of 1 - 2^-53
+    top = 1.0 - 2.0 ** -53
+    pmf = JointPMF(2, [0.5, 0.25, 0.25 - 2.0 ** -53, 0.0])
+    assert np.cumsum(pmf.probs)[2] == top
+    plan = build_plan([UNIFORM] * 2, CorrelationMatrix.filled(2, 0.0))
+    plan = dataclasses.replace(plan, recipe=BernoulliRecipe("oracle_pmf", pmf))
+    assert _drawn_atoms(plan, [top, top]).tolist() == [0b10, 0b10]
+    rows = _batch_values(plan, 1, _ScriptedGenerator(top, [top]))
+    assert rows.tolist() == [[top, 2.0 ** -53]]
+    assert pmf.sample(_ScriptedGenerator(top, [top])).tolist() == [1, 0]
+
+
+def fair_coin_law(rng: np.random.Generator, n: int, spread: bool) -> JointPMF:
+    """Float weights on up to 2n random atoms, plus, if ``spread``, a
+    Dirichlet(1/2) layer over all atoms; each mass split evenly with its
+    complement, so every coin is fair."""
+    probs = np.zeros(2 ** n)
+    atoms = rng.integers(0, 2 ** n, rng.integers(1, 2 * n + 1))
+    np.add.at(probs, atoms, rng.random(len(atoms)))
+    if spread:
+        probs += rng.dirichlet(np.full(2 ** n, 0.5))
+    probs += probs[::-1]
+    return JointPMF(n, probs / probs.sum())
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=10))
+@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_no_recipe_draws_a_zero_mass_atom(n, seed):
+    # the compiled recipe (closed form for n <= 4, an LP witness above) of a
+    # spread law, and a sparse law used as its own recipe, whose float sums
+    # need not reach 1.  LP recipes compile from spread laws because some
+    # sparse ones at n >= 11 raise the LP's open wrong-basis NumericalError.
+    rng = np.random.default_rng(seed)
+    spread = fair_coin_law(rng, n, spread=True)
+    plan = build_plan_from_concurrence([UNIFORM] * n, spread.concurrence_matrix())
+    assert plan.feasible
+    for recipe in (plan.recipe, BernoulliRecipe("oracle_pmf", fair_coin_law(rng, n, False))):
+        cdf = np.cumsum(recipe.pmf.probs)
+        edges = cdf[cdf < 1.0]
+        x = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            [0.0, 1.0 - 2.0 ** -53], rng.random(64)])
+        atoms = _drawn_atoms(dataclasses.replace(plan, recipe=recipe), x[x < 1.0])
+        assert (recipe.pmf.probs[atoms] > 0.0).all()
