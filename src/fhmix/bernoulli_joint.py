@@ -43,7 +43,6 @@ from .errors import (
     InvalidMatrixError,
     NumericalError,
 )
-from .inversion import InverseCdf, cumulative
 
 #: absolute slack for feasibility comparisons and atom nonnegativity
 FEAS_TOL = 1e-12
@@ -208,17 +207,21 @@ class JointPMF:
         return ConcurrenceMatrix(m)
 
     @functools.cached_property
-    def _atom_search(self) -> tuple[np.ndarray, InverseCdf]:
-        """Support atoms and an inversion search over their cdf, built on
-        first use; zero-mass atoms are never drawn."""
-        support = np.flatnonzero(self.probs)
-        return support, InverseCdf(cumulative(self.probs[support]), "right")
+    def _cdf(self) -> np.ndarray:
+        """Running sums of ``probs``, set to 1.0 from the last atom of
+        positive mass on, built on first use.  Inversion of x in [0, 1), the
+        first atom whose entry exceeds x, then never lands on a zero-mass
+        atom: not inside (its entry equals the one before), and not past a
+        float sum just short of 1."""
+        cdf = np.cumsum(self.probs)
+        cdf[np.flatnonzero(self.probs)[-1]:] = 1.0
+        cdf.flags.writeable = False
+        return cdf
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw atoms by inversion; returns bits, shape (n,) or (size, n)."""
-        support, search = self._atom_search
         count = 1 if size is None else int(size)
-        idx = support[search.index(rng.random(count))]
+        idx = np.searchsorted(self._cdf, rng.random(count), side="right")
         bits = _bit_table(self.n)[idx]
         if size is None:
             return bits[0]

@@ -23,8 +23,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri, xlogy
 
 from .errors import DegenerateMarginalError, NumericalError, QuadratureError
-from .inversion import cumulative
-from .marginals import MarginalSpec, _empirical_standardization, quantile
+from .marginals import MarginalSpec, _empirical_cum_weights, _empirical_standardization, quantile
 
 #: extremes closer than this are treated as a degenerate (zero-width) interval
 DEGENERATE_WIDTH = 1e-10
@@ -133,7 +132,7 @@ def _standard_atoms(m: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:
         (p,) = m.params
         return np.array([-p, 1.0 - p]) / math.sqrt(p * (1.0 - p)), np.array([0.0, 1.0 - p, 1.0])
     _, sd, d = _empirical_standardization(m)
-    return d / sd, np.concatenate(([0.0], cumulative(m.weights)))
+    return d / sd, np.concatenate(([0.0], _empirical_cum_weights(m)))
 
 
 def _primitive(m: MarginalSpec, u: np.ndarray) -> np.ndarray:

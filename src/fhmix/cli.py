@@ -51,7 +51,8 @@ from .sampler import (
 Z_LIMIT = 4.0
 # stand-in for an infinite z-score; keeps the verify report strict JSON
 Z_HUGE = 1e18
-#: rows drawn and written at a time by ``sample``; memory stays bounded
+#: rows drawn and written at a time by ``sample``: bounds the CSV text held
+#: per write, a smaller block than the sampler's chunk
 CHUNK_ROWS = 1 << 14
 
 @dataclass(frozen=True)

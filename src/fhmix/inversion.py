@@ -1,62 +1,47 @@
-"""Inverse-cdf search by guide table (Chen & Asau, 1974).
+"""Inversion of a discrete cdf by a branchless binary search.
 
-Drawing from a discrete law by inversion means finding, for a uniform x,
-the index ``np.searchsorted(cdf, x, side)``.  A guide table splits [0, 1)
-into ``GUIDE_SIZE`` equal buckets and stores, per bucket, the answer at its
-left edge; since the answer is monotone in x, a lookup starts there and
-walks forward with vectorized ``j += cdf[j] <= x`` steps (``<`` for
-``side="left"``).  The number of steps is the widest bucket's count of cdf
-entries, fixed when the table is built, so every lookup does the same work.
-Tables whose widest bucket needs more than ``MAX_STEPS`` steps (many atoms
-clustered in one bucket) call ``np.searchsorted`` instead.  Either way the
-result is exactly ``np.searchsorted``'s for every x in [0, 1).
+Drawing from a discrete law by inversion means finding, for a uniform x, the
+index ``np.searchsorted(cdf, x, side)``.  With the cdf padded by 1.0s to 2^L
+entries, that index has L bits, and bit i (counting from the top) is one
+comparison of x with the cdf at the midpoint of the block of entries that
+share the index's first i bits.  :func:`levels` tabulates those midpoints
+per depth, and :func:`index` descends them for every x at once: L vectorized
+steps with no branch to mispredict, where the branches of
+``np.searchsorted`` go either way at random for random x.  A pmf over
+{0,1}^n has L = n, and the sampler takes one step per coordinate, since
+bit i is coordinate i's coin.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: buckets per guide table; a power of two, so x * GUIDE_SIZE is exact.  At
-#: 2^12 buckets some n = 12 LP recipes (79 support atoms) needed two steps
-#: where smaller recipes need one, a per-row cost that jumped with n; 2^14
-#: buckets walk those in one, and the table (128 KiB) still stays in L2.
-GUIDE_SIZE = 2 ** 14
-#: widest bucket walked step by step; wider tables use np.searchsorted
-MAX_STEPS = 8
 
+def levels(cdf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per depth i, the cdf at the midpoint of each of its 2^i blocks.
 
-def cumulative(weights) -> np.ndarray:
-    """Running sums of ``weights`` with the last forced to 1.0, so every
-    x in [0, 1) falls below the end of the table."""
-    cdf = np.cumsum(np.asarray(weights, dtype=float))
-    cdf[-1] = 1.0
-    cdf.flags.writeable = False
-    return cdf
-
-
-class InverseCdf:
-    """Guide-table search equal to ``np.searchsorted(cdf, x, side)``.
-
-    ``cdf`` must be nondecreasing up to a last entry of 1.0 (entries just
-    above 1.0 from rounding, before the last, are harmless: no x < 1 reaches
-    them).  ``index`` accepts any array of x in [0, 1), or a 0-d array.
+    ``cdf`` must be nondecreasing and end at 1.0; it is padded with 1.0 to
+    a power of two, so no x < 1 is ever counted past its end.
     """
+    depth = max(1, (len(cdf) - 1).bit_length())
+    padded = np.ones(1 << depth)
+    padded[:len(cdf)] = cdf
+    return tuple(padded[(1 << (depth - 1 - i)) - 1::1 << (depth - i)].copy()
+                 for i in range(depth))
 
-    def __init__(self, cdf: np.ndarray, side: str) -> None:
-        self.cdf = cdf
-        self.side = side
-        self._step = np.less_equal if side == "right" else np.less
-        starts = np.searchsorted(cdf, np.arange(GUIDE_SIZE) / GUIDE_SIZE, side)
-        # every x in bucket t is answered in [starts[t], starts[t + 1]], and
-        # no x < 1 gets past the last entry
-        ends = np.append(starts[1:], len(cdf) - 1)
-        self.steps = int(np.max(ends - starts))
-        self._starts = starts if self.steps <= MAX_STEPS else None
 
-    def index(self, x: np.ndarray) -> np.ndarray:
-        if self._starts is None:
-            return np.searchsorted(self.cdf, x, self.side)
-        j = self._starts.take((x * GUIDE_SIZE).astype(np.intp))
-        for _ in range(self.steps):
-            j += self._step(self.cdf.take(j), x)
-        return j
+def index(tables: tuple[np.ndarray, ...], x: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(cdf, x, side)`` for x in [0, 1), from ``levels(cdf)``."""
+    step = np.less_equal if side == "right" else np.less
+    x = np.asarray(x)
+    p = np.zeros(x.shape, np.intp)
+    edge = np.empty(x.shape)
+    bit = np.empty(x.shape, bool)
+    for table in tables:
+        # p holds the index's first i bits, so p < 2^i: "clip" is only the
+        # fastest mode of take
+        table.take(p, out=edge, mode="clip")
+        step(edge, x, out=bit)
+        p += p
+        p += bit
+    return p

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from . import inversion
 from .errors import DomainError, InvalidMarginalError
-from .inversion import InverseCdf, cumulative
 
 #: family name -> parameter names, in the order its MarginalSpec constructor
 #: takes them; config files use these names as keys
@@ -167,9 +167,10 @@ class MarginalSpec:
         return self.params
 
     @functools.cached_property
-    def _inverse_cdf(self) -> InverseCdf:
-        """Search over an empirical's cumulative weights, built on first use."""
-        return InverseCdf(cumulative(self.weights), "left")
+    def _levels(self) -> tuple[np.ndarray, ...]:
+        """Search tables over an empirical's cumulative weights, built on
+        first use."""
+        return inversion.levels(_empirical_cum_weights(self))
 
     def __str__(self) -> str:
         if self.family == "empirical":
@@ -194,9 +195,11 @@ def quantile(m: MarginalSpec, u):
 
 
 def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`quantile` of ``u`` written into ``out``, which may be ``u``
-    itself, with no range check: the one formula per family that both
-    ``quantile`` and the sampler evaluate."""
+    """:func:`quantile` of ``u`` written into ``out``, with no range check:
+    the one formula per family that both ``quantile`` and the sampler
+    evaluate.  ``out`` may be ``u`` itself only when ``u`` is contiguous:
+    numpy 2.4.6 computes ``np.negative(v, out=v)`` wrongly for a column v
+    with a 64-byte stride, as in an (rows, 8) array."""
     if m.family == "uniform":
         a, b = m.params
         np.multiply(u, b - a, out=out)
@@ -216,7 +219,7 @@ def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray) -> np.ndarra
         (p,) = m.params
         np.greater(u, 1.0 - p, out=out)
     else:  # empirical
-        np.take(m.values, m._inverse_cdf.index(u), out=out)
+        np.take(m.values, inversion.index(m._levels, u, "left"), out=out)
     return out
 
 
@@ -251,9 +254,15 @@ def quantile_jumps(m: MarginalSpec) -> tuple[float, ...]:
         (p,) = m.params
         return (1.0 - p,)
     if m.family == "empirical":
-        cumw = cumulative(m.weights)
+        cumw = _empirical_cum_weights(m)
         return tuple(float(c) for c in cumw[:-1] if 0.0 < c < 1.0)
     return ()
+
+
+def _empirical_cum_weights(m: MarginalSpec) -> np.ndarray:
+    cumw = np.cumsum(np.asarray(m.weights, dtype=float))
+    cumw[-1] = 1.0
+    return cumw
 
 
 def _empirical_standardization(m: MarginalSpec) -> tuple[float, float, np.ndarray]:

@@ -25,14 +25,15 @@ which coordinates ride it forwards or backwards.  Each row draws its own U and
 then the uniform that picks B, so a batch of k rows is the first k rows of any
 longer batch, and ``fhmix sample`` streams chunks through the same code.
 
-A batch is evaluated in chunks of ``CHUNK_ROWS`` rows, small enough that the
-chunk's working set stays in a per-core L2 cache.  Per chunk, B is found by a
-guide-table search (:mod:`fhmix.inversion`) over the cdf of the recipe's
-support atoms only, so an atom of zero mass is never drawn; U or 1 - U is
-picked for every coordinate by an exact bit select with the atom's flip
-masks, written straight into the chunk's rows of the output; and each
-column is then mapped through its quantile, by the same kernels
-:func:`fhmix.marginals.quantile` uses, via one contiguous scratch row.
+A batch is evaluated in chunks of at most ``CHUNK_ROWS`` rows, which bounds
+the memory its temporaries take.  B is found by inversion of the recipe
+uniform over the recipe's cdf, as a branchless binary search
+(:mod:`fhmix.inversion`) whose depth i decides coordinate i's bit, so each
+coordinate costs one search step whatever n is.  That bit then picks U or
+1 - U by an exact bit select, and the column is mapped through its quantile
+by the same kernel :func:`fhmix.marginals.quantile` uses.  The cdf equals
+1.0 from the last atom of positive mass on, so an atom of zero mass is
+never drawn.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bernoulli_joint as bj
+from . import inversion
 from .bernoulli_joint import (
     AlphaInterval,
     ConcurrenceMatrix,
@@ -62,9 +64,10 @@ from .oracle import lp_feasible
 
 #: slack when checking a target correlation against its extremes
 RHO_SLACK = 1e-9
-#: rows drawn per chunk: at n = 12 the chunk's output rows (768 KiB) and
-#: its per-row scratch (~0.5 MiB) stay within a 2 MiB per-core L2
-CHUNK_ROWS = 2 ** 13
+#: rows drawn per chunk: the chunk's temporaries take ~20 MiB.  Chunks
+#: that fit a 2 MiB L2 drew faster, but their timings swung with the
+#: machine's speed far more, enough to fail the linear-time acceptance test
+CHUNK_ROWS = 2 ** 18
 
 # For fair-coin marginals the probability that two coordinates agree equals
 # the convexity weight of their correlation, so the two matrix types coincide.
@@ -81,9 +84,9 @@ class CorrelationMatrix(_UnitDiagonalMatrix):
 class BernoulliRecipe:
     """Compiled fair-coin vector source: a pmf over {0,1}^n.
 
-    The draw tables (the pmf's support atoms and the guide-table search
-    over their cdf, and the flip masks) are built on the first draw and
-    cached, so compiling a plan that is never drawn from costs nothing here.
+    The search tables of the draw (:attr:`_levels`) are built on the first
+    draw and cached, so compiling a plan that is never drawn from costs
+    nothing here.
     """
 
     kind: str  # "bivariate" | "trivariate" | "quadrivariate" | "oracle_pmf"
@@ -92,12 +95,10 @@ class BernoulliRecipe:
     alpha_interval: AlphaInterval | None = None
 
     @functools.cached_property
-    def _flip_masks(self) -> np.ndarray:
-        """(support, n) uint64 table: all ones where coordinate i of a
-        support atom has bit 0, i.e. rides 1 - U; zero where it rides U."""
-        support, _ = self.pmf._atom_search
-        rides_u = (support[:, None] >> np.arange(self.pmf.n - 1, -1, -1)) & 1
-        return np.where(rides_u == 1, np.uint64(0), ~np.uint64(0))
+    def _levels(self) -> tuple[np.ndarray, ...]:
+        """Search tables over the pmf's cdf (:func:`fhmix.inversion.levels`):
+        table i decides coordinate i's bit."""
+        return inversion.levels(self.pmf._cdf)
 
 
 @dataclass(frozen=True)
@@ -356,10 +357,14 @@ def _generator(seed: int, stream_id: int) -> np.random.Generator:
 
 
 def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> np.ndarray:
-    _, search = plan.recipe.pmf._atom_search
-    masks = plan.recipe._flip_masks
+    levels = plan.recipe._levels
     out = np.empty((count, plan.n))
-    scratch = np.empty(min(count, CHUNK_ROWS))
+    rows = min(count, CHUNK_ROWS)
+    prefix = np.empty(rows, np.intp)
+    edge = np.empty(rows)
+    bit = np.empty(rows, bool)
+    w = np.empty(rows, np.uint64)
+    column = np.empty(rows)
     for start in range(0, count, CHUNK_ROWS):
         k = min(CHUNK_ROWS, count - start)
         # each row is (U, recipe uniform): chunks, and calls in turn,
@@ -367,22 +372,23 @@ def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> n
         u, atom_u = rng.random((k, 2)).T.copy()
         if not u.all():
             u[u == 0.0] = 0.5  # P(U = 0) = 2^-53; U, 1 - U stay equal in law
-        # w = u where the row's atom rides U, else 1 - u: the mask is all
-        # ones or all zeros, so w's bits are exactly u's or 1 - u's
-        u_bits = u.view(np.uint64)[:, None]
-        diff = (1.0 - u).view(np.uint64)[:, None]
-        diff ^= u_bits
-        rows = out[start:start + k]
-        w = rows.view(np.uint64)
-        np.take(masks, search.index(atom_u), axis=0, out=w, mode="clip")
-        w &= diff
-        w ^= u_bits
-        # each column's quantiles go through a contiguous row, never in
-        # place on the strided column: numpy 2.4.6 computes an in-place
-        # negative on 64-byte strides wrongly
-        row = scratch[:k]
-        for i, m in enumerate(plan.marginals):
-            rows[:, i] = _quantile_into(m, rows[:, i], row)
+        v = (1.0 - u).view(np.uint64)
+        diff = u.view(np.uint64) ^ v
+        p, e, b, wk, ck = prefix[:k], edge[:k], bit[:k], w[:k], column[:k]
+        p.fill(0)
+        for i, (m, table) in enumerate(zip(plan.marginals, levels)):
+            # one step of inversion.index(levels, atom_u, "right"): p holds
+            # each row's first i atom bits and gains bit i
+            table.take(p, out=e, mode="clip")
+            np.less_equal(e, atom_u, out=b)
+            p += p
+            p += b
+            # w = u where bit i is 1, else 1 - u: the mask is all ones or
+            # all zeros, so w's bits are exactly u's or 1 - u's
+            np.negative(b, out=wk, dtype=np.uint64)
+            wk &= diff
+            wk ^= v
+            out[start:start + k, i] = _quantile_into(m, wk.view(np.float64), ck)
     return out
 
 

@@ -435,3 +435,64 @@ def test_no_recipe_draws_a_zero_mass_atom(n, seed):
                             [0.0, 1.0 - 2.0 ** -53], rng.random(64)])
         atoms = _drawn_atoms(dataclasses.replace(plan, recipe=recipe), x[x < 1.0])
         assert (recipe.pmf.probs[atoms] > 0.0).all()
+
+
+def _recipe_plan(pmf: JointPMF) -> sampler.SamplingPlan:
+    """A bare plan drawing ``pmf`` as its recipe, with uniform(0, 1)
+    coordinates, so ``_drawn_atoms`` can read the atoms back."""
+    return sampler.SamplingPlan((UNIFORM,) * pmf.n, None, (), None,
+                                BernoulliRecipe("oracle_pmf", pmf), True, "feasible")
+
+
+@st.composite
+def pmfs(draw):
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "dyadic", "zeros", "clustered"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "dyadic":
+        # masses j / 2^m: cdf entries exact, often equal to the query itself
+        m = 2 ** draw(st.integers(1, 16))
+        cuts = np.sort(rng.integers(0, m + 1, 2 ** n - 1))
+        return JointPMF(n, np.diff(cuts, prepend=0, append=m) / m)
+    if kind == "random":
+        w = rng.random(2 ** n) ** 4
+    elif kind == "zeros":
+        w = rng.random(2 ** n) * (rng.random(2 ** n) < 0.3)
+        w[rng.integers(2 ** n)] += 1.0
+    else:
+        # one heavy atom, the others 1e-6 each, all in one narrow stretch
+        w = np.full(2 ** n, 1e-6)
+        w[rng.integers(2 ** n)] = 1.0
+    return JointPMF(n, w / w.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(pmf=pmfs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_drawn_atom_is_the_searchsorted_atom_of_the_support(pmf, seed):
+    # the per-coordinate descent equals np.searchsorted over the cdf of the
+    # support atoms alone, its last entry forced to 1
+    support = np.flatnonzero(pmf.probs)
+    cdf = np.cumsum(pmf.probs[support])
+    cdf[-1] = 1.0
+    rng = np.random.default_rng(seed)
+    inner = cdf[cdf < 1.0]
+    x = np.concatenate([inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+                        [0.0, 2.0 ** -53, 1.0 - 2.0 ** -53], rng.random(64)])
+    x = x[(x >= 0.0) & (x < 1.0)]
+    expected = support[np.searchsorted(cdf, x, side="right")]
+    assert np.array_equal(_drawn_atoms(_recipe_plan(pmf), x), expected)
+    bits = pmf.sample(_ScriptedGenerator(0.25, x), len(x))
+    assert np.array_equal(bits @ (1 << np.arange(pmf.n - 1, -1, -1)), expected)
+
+
+def test_wide_rows_draw_the_kernel_quantiles():
+    # rows of 8 doubles give each output column a 64-byte stride, on which
+    # numpy 2.4.6 computes an in-place np.negative wrongly; every value must
+    # still be the exponential quantile of its row's U or 1 - U
+    ms = [MarginalSpec.exponential(1.0 + i) for i in range(8)]
+    plan = build_plan(ms, CorrelationMatrix.filled(8, 0.3))
+    values = sample_batch(plan, 5000, seed=9).values
+    u = _generator(9, 0).random((5000, 2))[:, 0]
+    for i, m in enumerate(ms):
+        forwards, backwards = quantile(m, u), quantile(m, 1.0 - u)
+        assert ((values[:, i] == forwards) | (values[:, i] == backwards)).all()
