@@ -21,7 +21,14 @@ Bern(p_i) and concurrence matrix L exists iff an (n+1)-dimensional
 symmetric-Bernoulli law exists whose concurrence matrix is L bordered by the
 column p (``symmetrize``).  The maps between draws are
 ``reduce_symmetric_draw`` (X_i = 1(B_i = B_{n+1})) and
-``lift_asymmetric_draw`` (B_i = B_{n+1} X_i + (1 - B_{n+1})(1 - X_i)).
+``lift_asymmetric_draw`` (B_i = B_{n+1} X_i + (1 - B_{n+1})(1 - X_i)), and
+``lift`` maps a law of X to the law of B.  ``lift`` builds the n = 4 recipe
+from the closed-form reduced pmf, and every n >= 5 recipe from an LP
+witness of the reduced system (:mod:`fhmix.sampler`).
+
+For n >= 5, ``violated_principal_submatrix`` screens every 3- and 4-subset
+with the n = 3 and n = 4 tests, as array arithmetic over all subsets at
+once.
 
 All constructions are linear in the inputs, so constraint residuals of the
 produced pmfs are at rounding level; feasibility comparisons use an absolute
@@ -435,6 +442,22 @@ def symmetrize(p, conc: ConcurrenceMatrix) -> ConcurrenceMatrix:
     return ConcurrenceMatrix(m)
 
 
+def lift(q: JointPMF) -> JointPMF:
+    """Law of :func:`lift_asymmetric_draw` applied to a draw from ``q``.
+
+    Reduced atom x puts mass q(x)/2 on (x, 1) and q(x)/2 on (1 - x, 0).  The
+    result is complement-symmetric, so every coin is fair; bit i agrees with
+    the last bit with probability P(X_i = 1), and bits i, j agree with
+    probability P(X_i = X_j).  Each target atom gets exactly one
+    contribution, so the masses are q's halved, bit for bit.
+    """
+    half = 0.5 * q.probs
+    probs = np.empty(2 * half.size)
+    probs[1::2] = half         # (x, 1) has index 2x + 1
+    probs[0::2] = half[::-1]   # (1 - x, 0) has index 2(2^m - 1 - x)
+    return JointPMF(q.n + 1, probs)
+
+
 def reduce_symmetric_draw(b) -> np.ndarray:
     """Map a fair-coin draw of length n+1 to X_i = 1(B_i = B_{n+1})."""
     arr = np.asarray(b, dtype=np.int64)
@@ -566,17 +589,11 @@ def quadrivariate_sample(
 def quadrivariate_lifted_pmf(conc: ConcurrenceMatrix, alpha: float) -> JointPMF:
     """Full 16-atom law of (B1, ..., B4) induced by the reduced system.
 
-    Each reduced atom x contributes mass q(x)/2 to (x, 1) and q(x)/2 to
-    (1-x, 0), which is exactly the law :func:`quadrivariate_sample` draws
-    from.  Useful when a single atom-pmf sampling path is wanted for n = 4.
+    The :func:`lift` of :func:`quadrivariate_pmf`, which is exactly the law
+    :func:`quadrivariate_sample` draws from.  Useful when a single atom-pmf
+    sampling path is wanted for n = 4.
     """
-    q = quadrivariate_pmf(conc, alpha)
-    probs = np.zeros(16)
-    for k in range(8):
-        x = atom_bits(k, 3)
-        probs[atom_index(x + (1,))] += 0.5 * q.probs[k]
-        probs[atom_index(tuple(1 - b for b in x) + (0,))] += 0.5 * q.probs[k]
-    pmf = JointPMF(4, probs)
+    pmf = lift(quadrivariate_pmf(conc, alpha))
     return _validate_against_targets(pmf, (0.5,) * 4, conc.entries)
 
 
@@ -600,15 +617,39 @@ def violated_principal_submatrix(conc: ConcurrenceMatrix) -> tuple[int, ...] | N
 
     The n = 3 and n = 4 characterizations are necessary conditions in any
     dimension, so a hit proves the full matrix infeasible.  Returns 0-based
-    indices, or None when every subset passes.
+    indices, or None when every subset passes.  Every 3-subset is tested
+    first, then every 4-subset, each in ``itertools.combinations`` order and
+    all at once: the tests are those of :func:`trivariate_feasible` and
+    :func:`quadrivariate_alpha_interval`, with the same float expressions in
+    the same order, so each verdict is theirs bit for bit.
     """
     e = conc.entries
-    for tri in itertools.combinations(range(conc.n), 3):
-        i, j, k = tri
-        if not trivariate_feasible(e[i, j], e[i, k], e[j, k]):
-            return tri
-    if conc.n >= 4:
-        for quad in itertools.combinations(range(conc.n), 4):
-            if not quadrivariate_alpha_interval(conc.submatrix(quad)).feasible:
-                return quad
+    i, j, k = _subsets(conc.n, 3).T
+    l12, l13, l23 = e[i, j], e[i, k], e[j, k]
+    s = l12 + l13 + l23
+    ok = (1.0 - FEAS_TOL <= s) & (s <= 1.0 + 2.0 * np.minimum(np.minimum(l12, l13), l23)
+                                  + FEAS_TOL)
+    if not ok.all():
+        return tuple(int(v) for v in _subsets(conc.n, 3)[ok.argmin()])
+    i, j, k, m = _subsets(conc.n, 4).T
+    l12, l13, l14, l23, l24, l34 = e[i, j], e[i, k], e[i, m], e[j, k], e[j, m], e[k, m]
+    triangle = np.minimum.reduce([l12 + l13 + l23, l23 + l24 + l34,
+                                  l13 + l14 + l34, l12 + l14 + l24])
+    cycle = np.maximum.reduce([l13 + l23 + l14 + l24, l12 + l23 + l14 + l34,
+                               l12 + l13 + l24 + l34])
+    hi = 0.5 * (triangle - 1.0)
+    # rounding is monotone, so 0.5 c - 1 of the largest c is the largest one
+    lo = np.maximum(0.0, 0.5 * cycle - 1.0)
+    ok = lo <= hi + FEAS_TOL
+    if not ok.all():
+        return tuple(int(v) for v in _subsets(conc.n, 4)[ok.argmin()])
     return None
+
+
+@functools.cache
+def _subsets(n: int, k: int) -> np.ndarray:
+    """``itertools.combinations(range(n), k)`` as a read-only (count, k)
+    index array."""
+    out = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    out.flags.writeable = False
+    return out

@@ -60,12 +60,15 @@ class FeasibilityWitness:
         return self.feasible
 
 
-def lp_feasible(marginal_probs, conc: ConcurrenceMatrix, mode: str = "auto") -> FeasibilityWitness:
+def lp_feasible(marginal_probs, conc: ConcurrenceMatrix, mode: str = "auto", *,
+                marginal_names=None) -> FeasibilityWitness:
     """Decide existence of a joint law with the given marginals and concurrences.
 
     ``marginal_probs`` holds P(bit i = 1) for each coordinate; entries of
     ``conc`` are the pairwise agreement probabilities.  Dimensions above 12
-    (4096 atoms) raise :class:`CapacityError`.
+    (4096 atoms) raise :class:`CapacityError`.  ``marginal_names`` relabels
+    the marginal rows in a certificate (default "marginal i"), for a caller
+    whose marginals stand for other constraints.
     """
     probs = list(marginal_probs)
     n = len(probs)
@@ -89,6 +92,8 @@ def lp_feasible(marginal_probs, conc: ConcurrenceMatrix, mode: str = "auto") -> 
     use_exact = mode == "exact" or (mode == "auto" and _all_small_rationals(rhs_values))
 
     A, names = _constraint_system(n)
+    if marginal_names is not None:
+        names = (names[0], *marginal_names, *names[n + 1:])
     b = np.array([float(v) for v in rhs_values])
     value, x, y, basis = _phase1_float(A, b)
     if use_exact:
@@ -104,6 +109,15 @@ def lp_feasible(marginal_probs, conc: ConcurrenceMatrix, mode: str = "auto") -> 
             )
         return FeasibilityWitness(True, pmf, None, residual, "float")
     return FeasibilityWitness(False, None, _certificate(value, y, names), value, "float")
+
+
+def constraint_residual(pmf: JointPMF, marginal_probs, conc: ConcurrenceMatrix) -> float:
+    """Largest violation by ``pmf`` of the rows :func:`lp_feasible` solves."""
+    n = pmf.n
+    A, _ = _constraint_system(n)
+    b = np.array([1.0, *(float(p) for p in marginal_probs),
+                  *(conc.entry(i, j) for i in range(n) for j in range(i + 1, n))])
+    return float(np.abs(A @ pmf.probs - b).max())
 
 
 def pushforward(pmf: JointPMF, atom_map) -> JointPMF:

@@ -8,8 +8,14 @@ A :class:`SamplingPlan` is compiled once per job:
    lambda_ij = (rho_ij - rho-) / (rho+ - rho-), the position of the target
    inside its achievable interval;
 3. a fair-coin Bernoulli recipe realizing (lambda_ij) as a concurrence
-   matrix is selected: closed-form pmfs for n in {2, 3, 4}, an exact
-   LP witness pmf for 5 <= n <= 12.
+   matrix is selected: closed-form pmfs for n in {2, 3, 4}; for
+   5 <= n <= 12, after a screen of every 3- and 4-subset, the lift of an LP
+   witness of the reduced (n-1)-dimensional asymmetric system.  That is the
+   paper's n = 4 method: X_i = 1(B_i = B_n), i < n, has marginals
+   lambda_in and concurrences lambda_ij, and any law of X, lifted by a fair
+   coin B_n (:func:`fhmix.bernoulli_joint.lift`), is a complement-symmetric
+   fair-coin law with concurrences lambda.  The LP has half the atoms of
+   the full system, and the lifted recipe is re-verified against it.
 
 Drawing one vector then costs one uniform U, one recipe draw B, and n
 quantile evaluations:
@@ -56,11 +62,12 @@ from .errors import (
     CapacityError,
     DomainError,
     InfeasibleError,
+    NumericalError,
     UnachievableCorrelationError,
 )
 # ``quantile`` stays importable from here: bench/tracing.py wraps it by name
 from .marginals import MarginalSpec, _quantile_into, quantile  # noqa: F401
-from .oracle import lp_feasible
+from .oracle import FLOAT_TOL, constraint_residual, lp_feasible
 
 #: slack when checking a target correlation against its extremes
 RHO_SLACK = 1e-9
@@ -290,9 +297,15 @@ def _finish_plan(ms, target, ext, lam: ConvexityMatrix, alpha: float | None) -> 
                 f"({coords}) fails its closed-form existence test"
             )
         else:
-            witness = lp_feasible([0.5] * n, lam)
+            # the paper's reduction: X_i = 1(B_i = B_n) has marginals lambda_in
+            # and concurrences lambda_ij, so its marginal rows are
+            # concurrences (i, n) of the fair-coin system
+            witness = lp_feasible(
+                e[:-1, -1].tolist(), lam.submatrix(range(n - 1)),
+                marginal_names=[f"concurrence ({i},{n})" for i in range(1, n)],
+            )
             if witness.feasible:
-                recipe = BernoulliRecipe("oracle_pmf", witness.pmf)
+                recipe = BernoulliRecipe("oracle_pmf", _lifted_witness(witness.pmf, lam))
             else:
                 feasible = False
                 diagnostics = f"infeasible concurrence matrix: {witness.certificate}"
@@ -306,6 +319,18 @@ def _finish_plan(ms, target, ext, lam: ConvexityMatrix, alpha: float | None) -> 
         feasible=feasible,
         diagnostics=diagnostics,
     )
+
+
+def _lifted_witness(q: JointPMF, lam: ConvexityMatrix) -> JointPMF:
+    """The fair-coin law lifted from a reduced witness, re-verified against
+    the full fair-coin system."""
+    pmf = bj.lift(q)
+    residual = constraint_residual(pmf, [0.5] * pmf.n, lam)
+    if residual > FLOAT_TOL:
+        raise NumericalError(
+            f"lifted witness re-verification failed: residual {residual:.3g} > {FLOAT_TOL}"
+        )
+    return pmf
 
 
 def _checked_alpha(alpha: float, interval: AlphaInterval) -> float:

@@ -1,8 +1,11 @@
 import itertools
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhmix import (
     ConcurrenceMatrix,
@@ -29,6 +32,7 @@ from fhmix import (
     trivariate_sample_direct,
     violated_principal_submatrix,
 )
+from fhmix.bernoulli_joint import lift
 from helpers import (
     FixedCoin,
     asym_pair_pmf,
@@ -278,6 +282,32 @@ def test_reduction_equivalence_at_pmf_level():
         assert np.max(np.abs(reduced.probs - target)) <= 1e-12
 
 
+def _reduce(bits):
+    return tuple(1 if b == bits[-1] else 0 for b in bits[:-1])
+
+
+@st.composite
+def reduced_laws(draw):
+    """Random laws on {0,1}^m, m = 1..8, some with many zero-mass atoms."""
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.random(2 ** m) * (rng.random(2 ** m) < draw(st.sampled_from([0.1, 0.5, 1.0])))
+    w[rng.integers(2 ** m)] += 1.0
+    return JointPMF(m, w / w.sum())
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(q=reduced_laws())
+def test_lift_is_the_coin_lift_law_and_reduces_back(q):
+    lifted = lift(q)
+    assert np.array_equal(lifted.probs, lift_law(q).probs)
+    assert np.array_equal(pushforward(lifted, _reduce).probs, q.probs)
+    # fair coins, whose concurrences are the reduced law's border and matrix
+    border = [q.marginal_prob(i) for i in range(q.n)]
+    bordered = symmetrize(border, q.concurrence_matrix())
+    assert pmf_residual(lifted, (0.5,) * (q.n + 1), bordered.entries) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # n = 4
 # ---------------------------------------------------------------------------
@@ -451,3 +481,44 @@ def test_necessity_propagates_to_feasible_high_dimensional_matrices():
             law = random_pmf(rng, n)
             conc = law.concurrence_matrix()
             assert violated_principal_submatrix(conc) is None
+
+
+def _screen_by_loop(conc):
+    e = conc.entries
+    for tri in itertools.combinations(range(conc.n), 3):
+        i, j, k = tri
+        if not trivariate_feasible(e[i, j], e[i, k], e[j, k]):
+            return tri
+    for quad in itertools.combinations(range(conc.n), 4):
+        if not quadrivariate_alpha_interval(conc.submatrix(quad)).feasible:
+            return quad
+    return None
+
+
+@st.composite
+def screen_inputs(draw):
+    """Random and dyadic entries, and concurrences of sparse fair-coin laws:
+    on faces of the feasible set, moved off them by multiples of 1/64 or of
+    5e-13 (inside and outside the 1e-12 slack)."""
+    n = draw(st.integers(3, 9))
+    kind = draw(st.sampled_from(["random", "dyadic", "law", "law+1/64", "law+5e-13"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        e = rng.uniform(draw(st.sampled_from([0.0, 0.3])), 1.0, (n, n))
+    elif kind == "dyadic":
+        e = rng.integers(0, 9, (n, n)) / 8
+    else:
+        probs = np.zeros(2 ** n)
+        np.add.at(probs, rng.integers(0, 2 ** n, rng.integers(1, 2 * n)), 1.0)
+        law = JointPMF(n, (probs + probs[::-1]) / (2 * probs.sum()))
+        e = law.concurrence_matrix().entries.copy()
+        step = 1 / 64 if kind == "law+1/64" else 5e-13
+        e += step * rng.integers(-3, 4, (n, n)) * (rng.random((n, n)) < 0.3)
+    e = np.clip(np.triu(e, 1), 0.0, 1.0)
+    return ConcurrenceMatrix(e + e.T + np.eye(n))
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(conc=screen_inputs())
+def test_screen_equals_the_closed_form_tests_in_combinations_order(conc):
+    assert violated_principal_submatrix(conc) == _screen_by_loop(conc)

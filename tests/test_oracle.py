@@ -1,3 +1,4 @@
+from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,9 @@ from fhmix import (
     DomainError,
     InvalidMatrixError,
     JointPMF,
+    MarginalSpec,
+    NumericalError,
+    build_plan_from_concurrence,
     lp_feasible,
     pushforward,
 )
@@ -79,9 +83,9 @@ def test_exact_mode_eight_fair_coins():
 
 
 @st.composite
-def dyadic_fair_coin_laws(draw):
+def dyadic_fair_coin_laws(draw, dims=st.integers(5, 7)):
     """Sixteen masses of 1/16, each split evenly between an atom and its complement."""
-    n = draw(st.integers(5, 7))
+    n = draw(dims)
     probs = np.zeros(2 ** n)
     for atom in draw(st.lists(st.integers(0, 2 ** n - 1), min_size=16, max_size=16)):
         probs[atom] += 1 / 32
@@ -187,3 +191,63 @@ def test_zero_phase1_objective_stops_the_simplex(mode):
     assert pmf_residual(w.pmf, [0.5] * 11, conc.entries) <= 1e-12
     if mode == "exact":
         assert w.max_residual == 0.0
+
+
+def _reduced(conc: ConcurrenceMatrix):
+    """The marginals and matrix of X_i = 1(B_i = B_n), i < n."""
+    return conc.entries[:-1, -1].tolist(), conc.submatrix(range(conc.n - 1))
+
+
+# a feasible fair-coin input (lower triangle x32) on which the full-system
+# simplex ends on a basis that certifies nothing, in both modes
+WRONG_BASIS_N12 = [22, 16, 14, 16, 10, 16, 12, 10, 12, 16, 18, 12, 22, 18, 10, 22, 20, 18,
+                   14, 14, 16, 16, 10, 12, 16, 20, 18, 10, 16, 14, 16, 16, 12, 22, 18, 16,
+                   18, 16, 26, 10, 18, 16, 16, 14, 18, 18, 12, 14, 18, 14, 20, 12, 22, 18,
+                   12, 12, 18, 24, 16, 12, 18, 10, 12, 16, 18, 18]
+
+
+def test_reduced_system_certifies_the_full_system_wrong_basis_input():
+    conc = ConcurrenceMatrix.from_lower_triangle([v / 32 for v in WRONG_BASIS_N12], 12)
+    plan = build_plan_from_concurrence([MarginalSpec.uniform(0.0, 1.0)] * 12, conc)
+    assert plan.feasible and plan.recipe.kind == "oracle_pmf"
+    assert pmf_residual(plan.recipe.pmf, [0.5] * 12, conc.entries) <= 1e-12
+    probs, sub = _reduced(conc)
+    for mode in ("float", "exact"):
+        w = lp_feasible(probs, sub, mode=mode)
+        assert w.feasible and w.mode == mode
+        assert pmf_residual(w.pmf, probs, sub.entries) <= 1e-12
+        # the full system still drifts to a basis that proves nothing
+        with pytest.raises(NumericalError):
+            lp_feasible([0.5] * 12, conc, mode=mode)
+
+
+@st.composite
+def dyadic_concurrences(draw):
+    """Concurrences of a dyadic fair-coin law at n = 5..8, as they are or
+    with up to three entries moved by +-1/64 (kept in [0, 1])."""
+    law = draw(dyadic_fair_coin_laws(st.integers(5, 8)))
+    e = law.concurrence_matrix().entries.copy()
+    pairs = draw(st.lists(st.tuples(st.integers(0, law.n - 1), st.integers(0, law.n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=3))
+    for i, j in pairs:
+        step = draw(st.sampled_from([-1, 1])) / 64
+        e[i, j] = e[j, i] = min(1.0, max(0.0, e[i, j] + step))
+    return ConcurrenceMatrix(e)
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=10))
+@given(conc=dyadic_concurrences())
+def test_reduced_and_full_exact_verdicts_agree(conc):
+    full = lp_feasible([0.5] * conc.n, conc, mode="exact")
+    reduced = lp_feasible(*_reduced(conc), mode="exact")
+    assert reduced.feasible == full.feasible
+
+
+def test_marginal_names_relabel_the_certificate():
+    # P(X1 = 1) = P(X2 = 1) = 0.9 forces agreement at least 0.8
+    conc = ConcurrenceMatrix.from_lower_triangle([0.5], 2)
+    plain = lp_feasible([0.9, 0.9], conc, mode="float")
+    named = lp_feasible([0.9, 0.9], conc, mode="float", marginal_names=["m-one", "m-two"])
+    assert not plain.feasible and "[marginal 1]" in plain.certificate
+    assert named.certificate == (plain.certificate.replace("[marginal 1]", "[m-one]")
+                                 .replace("[marginal 2]", "[m-two]"))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from datetime import timedelta
 
 import numpy as np
@@ -22,14 +23,24 @@ from fhmix import (
     build_plan,
     build_plan_from_concurrence,
     convexity_from_correlation,
+    lp_feasible,
     moments,
     quantile,
     sample_batch,
     sample_vector,
+    violated_principal_submatrix,
 )
 from fhmix import sampler
 from fhmix.sampler import _batch_values, _generator
-from helpers import KS_ALPHA, concurrence_z, corr_z, ks_pvalue, mean_z, random_pmf
+from helpers import (
+    KS_ALPHA,
+    concurrence_z,
+    corr_z,
+    ks_pvalue,
+    mean_z,
+    pmf_residual,
+    random_pmf,
+)
 
 UNIFORM = MarginalSpec.uniform(0.0, 1.0)
 EXP = MarginalSpec.exponential(1.0)
@@ -295,6 +306,62 @@ def test_oracle_recipe_statistics():
         for j in range(i + 1, 5):
             z = concurrence_z(batch.values[:, i], batch.values[:, j], 0.5)
             assert abs(z) <= 4.0
+
+
+@settings(max_examples=30, deadline=timedelta(seconds=10))
+@given(n=st.integers(5, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_lifted_lp_recipes_meet_the_fair_coin_constraints(n, seed):
+    # an n >= 5 recipe is the lift of a witness of the reduced system, so
+    # each atom carries the mass of its complement
+    conc = fair_coin_law(np.random.default_rng(seed), n, spread=True).concurrence_matrix()
+    plan = build_plan_from_concurrence([UNIFORM] * n, conc)
+    assert plan.feasible and plan.recipe.kind == "oracle_pmf"
+    probs = plan.recipe.pmf.probs
+    assert np.array_equal(probs, probs[::-1])
+    assert pmf_residual(plan.recipe.pmf, [0.5] * n, conc.entries) <= 1e-9
+
+
+def test_sparse_n11_law_compiles():
+    # the 27th of a seeded stream of sparse complement-symmetric laws: its
+    # full 2^11-atom system ends on a basis whose witness misses by 0.287
+    rng = np.random.default_rng(0)
+    for _ in range(27):
+        n = int(rng.integers(5, 13))
+        probs = np.zeros(2 ** n)
+        for atom in rng.integers(0, 2 ** n, rng.integers(1, 2 * n + 1)):
+            w = rng.uniform(1e-3, 1)
+            probs[atom] += w
+            probs[2 ** n - 1 - atom] += w
+    law = JointPMF(n, probs / probs.sum())
+    assert n == 11 and np.count_nonzero(law.probs) == 20
+    conc = law.concurrence_matrix()
+    plan = build_plan_from_concurrence([UNIFORM] * 11, conc)
+    assert plan.feasible
+    assert pmf_residual(plan.recipe.pmf, [0.5] * 11, conc.entries) <= 1e-9
+
+
+def test_lp_certificate_names_the_fair_coin_constraints():
+    # mean concurrence 0.42 < 30/66 breaks a max-cut inequality while every
+    # 3- and 4-subset passes the screen.  Moving the second coordinate of
+    # the certificate's first concurrence row to the end makes the reduced
+    # system's marginal rows bind; they are concurrences (i, 12)
+    rng = np.random.default_rng(61)
+    lam = np.triu(np.full((12, 12), 0.42) + rng.uniform(-0.02, 0.02, (12, 12)), 1)
+    lam = lam + lam.T + np.eye(12)
+    before = build_plan_from_concurrence([UNIFORM] * 12, ConcurrenceMatrix(lam))
+    a = int(re.search(r"concurrence \(\d+,(\d+)\)", before.diagnostics)[1]) - 1
+    perm = list(range(12))
+    perm[a], perm[11] = 11, a
+    conc = ConcurrenceMatrix(lam[np.ix_(perm, perm)])
+    plan = build_plan_from_concurrence([UNIFORM] * 12, conc)
+    assert not plan.feasible and violated_principal_submatrix(conc) is None
+    raw = lp_feasible(conc.entries[:-1, -1].tolist(), conc.submatrix(range(11))).certificate
+    bound = re.findall(r"\[marginal (\d+)\]", raw)
+    assert bound
+    for text in (before.diagnostics, plan.diagnostics):
+        assert "marginal" not in text
+    for i in bound:
+        assert f"[concurrence ({i},12)]" in plan.diagnostics
 
 
 def test_sample_batch_input_guards():
