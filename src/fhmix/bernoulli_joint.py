@@ -26,9 +26,11 @@ column p (``symmetrize``).  The maps between draws are
 from the closed-form reduced pmf, and every n >= 5 recipe from an LP
 witness of the reduced system (:mod:`fhmix.sampler`).
 
-For n >= 5, ``violated_principal_submatrix`` screens every 3- and 4-subset
-with the n = 3 and n = 4 tests, as array arithmetic over all subsets at
-once.
+For n >= 5, ``violated_principal_submatrix`` screens every 3-subset with
+the n = 3 test, as array arithmetic over all subsets at once.  The n = 4
+test adds nothing to it: each bound of ``quadrivariate_alpha_interval``
+restates a triangle inequality of the 4-subset, so its interval is empty
+only if one of the subset's triangles fails.
 
 All constructions are linear in the inputs, so constraint residuals of the
 produced pmfs are at rounding level; feasibility comparisons use an absolute
@@ -613,15 +615,24 @@ def _raise_on_negative_atom(probs: np.ndarray, n: int, lams, alpha: float,
 # ---------------------------------------------------------------------------
 
 def violated_principal_submatrix(conc: ConcurrenceMatrix) -> tuple[int, ...] | None:
-    """First 3- or 4-subset whose principal submatrix fails its closed-form test.
+    """First 3-subset whose principal submatrix fails its closed-form test.
 
-    The n = 3 and n = 4 characterizations are necessary conditions in any
-    dimension, so a hit proves the full matrix infeasible.  Returns 0-based
-    indices, or None when every subset passes.  Every 3-subset is tested
-    first, then every 4-subset, each in ``itertools.combinations`` order and
-    all at once: the tests are those of :func:`trivariate_feasible` and
-    :func:`quadrivariate_alpha_interval`, with the same float expressions in
-    the same order, so each verdict is theirs bit for bit.
+    The n = 3 characterization is a necessary condition in any dimension, so
+    a hit proves the full matrix infeasible.  Returns 0-based indices, or
+    None when every subset passes.  Every 3-subset is tested at once, in
+    ``itertools.combinations`` order, with the float expressions of
+    :func:`trivariate_feasible` in the same order, so each verdict is its
+    verdict bit for bit.
+
+    4-subsets need no pass of their own.  With lo = 0 the interval of
+    :func:`quadrivariate_alpha_interval` is empty iff a triangle sum s_T < 1,
+    the lower triangle inequality.  A 4-cycle bound s_C/2 - 1 exceeds a
+    triangle bound (s_T - 1)/2 iff s_C - s_T > 1, and s_C - s_T is
+    l_xw + l_yw - l_xy, where xy is the edge T shares with the matching the
+    cycle leaves out and w the vertex outside T: the upper inequality of
+    triangle {x, y, w} at its edge xy.  The 12 (cycle, triangle) pairs are
+    the 12 (triangle, edge) pairs, so the n = 4 test is the n = 3 test of
+    the four triangles, and with twice its slack.
     """
     e = conc.entries
     i, j, k = _subsets(conc.n, 3).T
@@ -631,18 +642,6 @@ def violated_principal_submatrix(conc: ConcurrenceMatrix) -> tuple[int, ...] | N
                                   + FEAS_TOL)
     if not ok.all():
         return tuple(int(v) for v in _subsets(conc.n, 3)[ok.argmin()])
-    i, j, k, m = _subsets(conc.n, 4).T
-    l12, l13, l14, l23, l24, l34 = e[i, j], e[i, k], e[i, m], e[j, k], e[j, m], e[k, m]
-    triangle = np.minimum.reduce([l12 + l13 + l23, l23 + l24 + l34,
-                                  l13 + l14 + l34, l12 + l14 + l24])
-    cycle = np.maximum.reduce([l13 + l23 + l14 + l24, l12 + l23 + l14 + l34,
-                               l12 + l13 + l24 + l34])
-    hi = 0.5 * (triangle - 1.0)
-    # rounding is monotone, so 0.5 c - 1 of the largest c is the largest one
-    lo = np.maximum(0.0, 0.5 * cycle - 1.0)
-    ok = lo <= hi + FEAS_TOL
-    if not ok.all():
-        return tuple(int(v) for v in _subsets(conc.n, 4)[ok.argmin()])
     return None
 
 

@@ -522,3 +522,48 @@ def screen_inputs(draw):
 @given(conc=screen_inputs())
 def test_screen_equals_the_closed_form_tests_in_combinations_order(conc):
     assert violated_principal_submatrix(conc) == _screen_by_loop(conc)
+
+
+
+_EDGES = list(itertools.combinations(range(4), 2))  # 12, 13, 14, 23, 24, 34
+
+
+def _form(edges) -> np.ndarray:
+    """A sum of concurrences of a 4x4 matrix, as coefficients on _EDGES."""
+    edges = list(edges)
+    return np.array([edges.count(e) for e in _EDGES])
+
+
+def test_every_alpha_interval_bound_restates_a_triangle_inequality():
+    # quadrivariate_alpha_interval bounds alpha <= (s_T - 1)/2 per triangle
+    # T, and alpha >= s_C/2 - 1 per 4-cycle C (the edges left when a perfect
+    # matching is removed) and alpha >= 0.  Its interval is nonempty iff
+    # s_T >= 1, T's lower inequality, and s_C - s_T <= 1 for every pair.
+    # Each of the 12 (cycle, triangle) pairs gives the upper inequality
+    # s - 2 l_e <= 1 of a different (triangle, edge) pair, all 12 of them,
+    # so the 4-subset test is the 3-subset test of its four triangles
+    triangles = {t: _form(itertools.combinations(t, 2))
+                 for t in itertools.combinations(range(4), 3)}
+    matchings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    cycles = [_form(_EDGES) - _form(m) for m in matchings]
+    uppers = {(t, e): s - 2 * _form([e])
+              for t, s in triangles.items() for e in itertools.combinations(t, 2)}
+    restated = []
+    for c in cycles:
+        for s_t in triangles.values():
+            hits = [key for key, f in uppers.items() if np.array_equal(f, c - s_t)]
+            assert len(hits) == 1
+            restated.append(hits[0])
+    assert sorted(restated) == sorted(uppers)
+
+    # the forms are the code's bounds
+    rng = np.random.default_rng(44)
+    for _ in range(200):
+        e = np.triu(rng.uniform(0.0, 1.0, (4, 4)), 1)
+        conc = ConcurrenceMatrix(e + e.T + np.eye(4))
+        x = np.array([conc.entry(i, j) for i, j in _EDGES])
+        interval = quadrivariate_alpha_interval(conc)
+        hi = min(0.5 * (s @ x - 1.0) for s in triangles.values())
+        lo = max([0.0] + [0.5 * (c @ x) - 1.0 for c in cycles])
+        assert interval.hi == pytest.approx(hi, abs=1e-15)
+        assert interval.lo == pytest.approx(lo, abs=1e-15)

@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import re
+import sys
+import threading
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -105,6 +108,14 @@ def test_plan_round_trip_identity():
 # ---------------------------------------------------------------------------
 # plan construction
 # ---------------------------------------------------------------------------
+
+def test_pair_extremes_rejects_a_diagonal_or_out_of_range_pair():
+    plan = build_plan([UNIFORM, EXP, UNIFORM], CorrelationMatrix.filled(3, 0.1))
+    assert plan.pair_extremes(2, 1) is plan.pair_extremes(1, 2)
+    for i, j in [(1, 1), (0, 3), (3, 0), (-1, 2)]:
+        with pytest.raises(DomainError, match=rf"pair \({i}, {j}\)"):
+            plan.pair_extremes(i, j)
+
 
 def test_plan_rejects_impossible_pair_target():
     with pytest.raises(UnachievableCorrelationError):
@@ -413,6 +424,87 @@ def test_draw_chunk_size_does_not_change_the_bytes(monkeypatch):
     whole = sample_batch(plan, 1000, seed=3).values
     monkeypatch.setattr(sampler, "CHUNK_ROWS", 7)
     assert sample_batch(plan, 1000, seed=3).values.tobytes() == whole.tobytes()
+
+
+def test_threaded_pieces_keep_the_bytes(monkeypatch):
+    # pieces of 5 rows on more workers than cores, switching threads every
+    # microsecond: each count's bytes equal its one-piece evaluation
+    plan = build_plan(MIXED, CorrelationMatrix.filled(5, 0.1))
+    counts = [4, 5, 6, 9, 10, 11, 64, 401]
+    whole = {c: sample_batch(plan, c, seed=8, stream_id=2).values.tobytes() for c in counts}
+    cores = sampler._cpus()
+    monkeypatch.setattr(sampler, "CHUNK_ROWS", 4)
+    monkeypatch.setattr(sampler, "PIECE_ROWS", 5)
+    monkeypatch.setattr(sampler, "_cpus", lambda: cores + 3)
+    pieces = {}
+
+    def draw():
+        for _ in range(3):
+            for c in counts:
+                pieces.setdefault(c, []).append(
+                    sample_batch(plan, c, seed=8, stream_id=2).values.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=draw, daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert pieces == {c: [whole[c]] * 3 for c in counts}
+
+
+def test_a_failing_piece_raises_once_the_others_finish(monkeypatch):
+    # the failed piece's worker hands its scratch set back, so the pieces
+    # after it are drawn, and the error reaches the caller
+    plan = build_plan([UNIFORM] * 3, CorrelationMatrix.filled(3, 0.1))
+    draw_piece = sampler._draw_piece
+    pieces = []
+
+    def fail_third(marginals, levels, scratch, out):
+        pieces.append(out)
+        if len(pieces) == 3:
+            raise ValueError("piece failed")
+        draw_piece(marginals, levels, scratch, out)
+
+    monkeypatch.setattr(sampler, "_draw_piece", fail_third)
+    monkeypatch.setattr(sampler, "CHUNK_ROWS", 4)
+    monkeypatch.setattr(sampler, "PIECE_ROWS", 5)
+    monkeypatch.setattr(sampler, "_cpus", lambda: 1)
+    raised = []
+
+    def draw():
+        with pytest.raises(ValueError, match="piece failed"):
+            sample_batch(plan, 50, seed=1)
+        raised.append(True)
+
+    worker = threading.Thread(target=draw, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert raised == [True] and len(pieces) == 10
+
+
+def test_draw_scratch_does_not_grow_with_count(monkeypatch):
+    # at a fixed worker count, the peak memory of a threaded batch beyond its
+    # output does not grow with the batch
+    monkeypatch.setattr(sampler, "_cpus", lambda: 2)
+    plan = build_plan([UNIFORM, MIXED[4]], CorrelationMatrix.filled(2, 0.1))
+    sample_batch(plan, 2 * sampler.CHUNK_ROWS, seed=1)
+    scratch = {}
+    tracemalloc.start()
+    try:
+        for count in (2 * sampler.CHUNK_ROWS, 8 * sampler.CHUNK_ROWS):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            batch = sample_batch(plan, count, seed=1)
+            scratch[count] = tracemalloc.get_traced_memory()[1] - before - batch.values.nbytes
+            del batch
+    finally:
+        tracemalloc.stop()
+    assert scratch[8 * sampler.CHUNK_ROWS] <= 1.25 * scratch[2 * sampler.CHUNK_ROWS]
 
 
 class _ZeroGenerator:
