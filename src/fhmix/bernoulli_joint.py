@@ -32,6 +32,11 @@ test adds nothing to it: each bound of ``quadrivariate_alpha_interval``
 restates a triangle inequality of the 4-subset, so its interval is empty
 only if one of the subset's triangles fails.
 
+Every pmf here answers one linear system, ``_constraint_system``, which the
+LP of :mod:`fhmix.oracle` solves too: total mass, marginals P(B_i = 1) and
+concurrences P(B_i = B_j).  A pmf sums its rows once; the accessors and
+``_check_constraints``, which re-verifies every constructed pmf, read them.
+
 All constructions are linear in the inputs, so constraint residuals of the
 produced pmfs are at rounding level; feasibility comparisons use an absolute
 slack of 1e-12.
@@ -47,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     InfeasibleError,
     InvalidDistributionError,
     InvalidMatrixError,
@@ -74,11 +80,28 @@ def atom_index(bits) -> int:
     return idx
 
 
+@functools.cache
 def _bit_table(n: int) -> np.ndarray:
-    """(2^n, n) 0/1 matrix; row k holds atom_bits(k, n)."""
+    """Read-only (2^n, n) 0/1 matrix of bytes; row k holds atom_bits(k, n)."""
     ks = np.arange(2 ** n)
     shifts = n - 1 - np.arange(n)
-    return (ks[:, None] >> shifts[None, :]) & 1
+    out = ((ks[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _constraint_system(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Rows total mass, marginal i (bit i = 1) and concurrence (i, j) (bit
+    i = bit j, pairs in combinations order) as a read-only boolean matrix
+    over the 2^n atoms, and their names."""
+    bits = _bit_table(n).astype(bool)
+    i, j = np.triu_indices(n, 1)
+    rows = np.vstack([np.ones((1, 2 ** n), bool), bits.T, (bits[:, i] == bits[:, j]).T])
+    rows.flags.writeable = False
+    names = ("total mass", *(f"marginal {k + 1}" for k in range(n)),
+             *(f"concurrence ({a + 1},{b + 1})" for a, b in zip(i, j)))
+    return rows, names
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +221,35 @@ class JointPMF:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
+    @functools.cached_property
+    def _row_values(self) -> np.ndarray:
+        """Each row of :func:`_constraint_system` summed over ``probs``, as
+        ``probs[mask].sum()`` bit for bit (a matrix product rounds otherwise);
+        every row after the first selects half the atoms."""
+        rows = _constraint_system(self.n)[0][1:]
+        half = np.broadcast_to(self.probs, rows.shape)[rows].reshape(len(rows), 2 ** self.n // 2)
+        return np.concatenate(([self.probs.sum()], half.sum(axis=1)))
+
+    def _coordinate(self, i: int) -> int:
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
+            raise DomainError(f"coordinate {i!r} is not in 0..{self.n - 1}")
+        return i
+
     def marginal_prob(self, i: int) -> float:
-        """P(bit i = 1)."""
-        bits = _bit_table(self.n)
-        return float(self.probs[bits[:, i] == 1].sum())
+        """P(bit i = 1), for a 0-based coordinate i."""
+        return float(self._row_values[1 + self._coordinate(i)])
 
     def concurrence(self, i: int, j: int) -> float:
-        """P(bit i = bit j)."""
-        bits = _bit_table(self.n)
-        return float(self.probs[bits[:, i] == bits[:, j]].sum())
+        """P(bit i = bit j), for 0-based coordinates i and j."""
+        i, j = sorted((self._coordinate(i), self._coordinate(j)))
+        if i == j:
+            return float(self._row_values[0])
+        return float(self._row_values[self.n + i * self.n - i * (i + 1) // 2 + j - i])
 
     def concurrence_matrix(self) -> ConcurrenceMatrix:
         m = np.eye(self.n)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                m[i, j] = m[j, i] = self.concurrence(i, j)
+        i, j = np.triu_indices(self.n, 1)
+        m[i, j] = m[j, i] = self._row_values[1 + self.n:]
         return ConcurrenceMatrix(m)
 
     @functools.cached_property
@@ -231,7 +268,7 @@ class JointPMF:
         """Draw atoms by inversion; returns bits, shape (n,) or (size, n)."""
         count = 1 if size is None else int(size)
         idx = np.searchsorted(self._cdf, rng.random(count), side="right")
-        bits = _bit_table(self.n)[idx]
+        bits = _bit_table(self.n)[idx].astype(np.int64)
         if size is None:
             return bits[0]
         return bits
@@ -241,20 +278,21 @@ def _bits_str(index: int, n: int) -> str:
     return "".join(str(b) for b in atom_bits(index, n))
 
 
-def _validate_against_targets(pmf: JointPMF, marginal_probs, conc: np.ndarray) -> JointPMF:
-    # construction identity check; failures indicate a bug, not bad input
-    for i, p in enumerate(marginal_probs):
-        if abs(pmf.marginal_prob(i) - p) > 16 * FEAS_TOL:
-            raise NumericalError(
-                f"constructed pmf marginal {i + 1} = {pmf.marginal_prob(i)!r}, wanted {p!r}"
-            )
-    for i in range(pmf.n):
-        for j in range(i + 1, pmf.n):
-            if abs(pmf.concurrence(i, j) - conc[i, j]) > 16 * FEAS_TOL:
-                raise NumericalError(
-                    f"constructed pmf concurrence ({i + 1},{j + 1}) off target"
-                )
-    return pmf
+def _check_constraints(pmf: JointPMF, marginal_probs, concurrences,
+                       tol: float = 16 * FEAS_TOL) -> float:
+    """Largest miss of ``pmf`` on mass 1, ``marginal_probs`` and pairwise
+    ``concurrences`` (combinations order); beyond ``tol`` it is a bug, not bad
+    input, and raises :class:`NumericalError` naming the worst row."""
+    target = np.array([1.0, *marginal_probs, *concurrences], dtype=float)
+    miss = np.abs(pmf._row_values - target)
+    k = int(miss.argmax())
+    if miss[k] > tol:
+        name = _constraint_system(pmf.n)[1][k]
+        raise NumericalError(
+            f"constructed pmf misses its {name} row: {pmf._row_values[k]!r}, "
+            f"wanted {target[k]!r} (off by {miss[k]:.3g} > {tol:g})"
+        )
+    return float(miss[k])
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +335,8 @@ def bivariate_pmf(lam12: float) -> JointPMF:
     agree = lam / 2.0
     differ = (1.0 - lam) / 2.0
     pmf = JointPMF(2, np.array([agree, differ, differ, agree]))
-    return _validate_against_targets(pmf, (0.5, 0.5), np.array([[1.0, lam], [lam, 1.0]]))
+    _check_constraints(pmf, (0.5, 0.5), (lam,))
+    return pmf
 
 
 def asymmetric_pair_feasible(p: float, q: float, r: float) -> bool:
@@ -375,8 +414,9 @@ def trivariate_pmf(lam12: float, lam13: float, lam23: float, alpha: float) -> Jo
         a,
     ])
     _raise_on_negative_atom(probs, 3, (l12, l13, l23), a)
-    conc = ConcurrenceMatrix.from_lower_triangle([l12, l13, l23], 3)
-    return _validate_against_targets(JointPMF(3, probs), (0.5,) * 3, conc.entries)
+    pmf = JointPMF(3, probs)
+    _check_constraints(pmf, (0.5,) * 3, (l12, l13, l23))
+    return pmf
 
 
 def trivariate_sample_direct(
@@ -550,10 +590,8 @@ def quadrivariate_pmf(conc: ConcurrenceMatrix, alpha: float) -> JointPMF:
     ])
     _raise_on_negative_atom(probs, 3, (l12, l13, l14, l23, l24, l34), a, prefix="q")
     pmf = JointPMF(3, probs)
-    return _validate_against_targets(
-        pmf, (l14, l24, l34),
-        np.array([[1.0, l12, l13], [l12, 1.0, l23], [l13, l23, 1.0]]),
-    )
+    _check_constraints(pmf, (l14, l24, l34), (l12, l13, l23))
+    return pmf
 
 
 def quadrivariate_sample(
@@ -596,7 +634,8 @@ def quadrivariate_lifted_pmf(conc: ConcurrenceMatrix, alpha: float) -> JointPMF:
     sampling path is wanted for n = 4.
     """
     pmf = lift(quadrivariate_pmf(conc, alpha))
-    return _validate_against_targets(pmf, (0.5,) * 4, conc.entries)
+    _check_constraints(pmf, (0.5,) * 4, _quad_lambdas(conc))
+    return pmf
 
 
 def _raise_on_negative_atom(probs: np.ndarray, n: int, lams, alpha: float,

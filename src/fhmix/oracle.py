@@ -21,8 +21,9 @@ Bland's-rule restart.  The mode decides how its answer is trusted:
             input is a rational with small denominator (or any non-float
             rational).
 
-The oracle is deliberately independent of the closed-form constructions it
-is used to check.
+The oracle shares only the constraint rows, and their check of a pmf, with
+the closed forms it is used to check (``bernoulli_joint._constraint_system``);
+``tests/helpers.pmf_residual`` stays the independent check of both.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .bernoulli_joint import ConcurrenceMatrix, JointPMF, atom_bits, _bit_table
+from .bernoulli_joint import (ConcurrenceMatrix, JointPMF, _check_constraints,
+                              _constraint_system, atom_bits)
 from .errors import CapacityError, DomainError, InvalidMatrixError, NumericalError
 
 MAX_DIMENSION = 12
@@ -102,22 +103,9 @@ def lp_feasible(marginal_probs, conc: ConcurrenceMatrix, mode: str = "auto", *,
         probs = np.clip(x, 0.0, None)
         probs /= probs.sum()
         pmf = JointPMF(n, probs)
-        residual = float(np.abs(A @ pmf.probs - b).max())
-        if residual > FLOAT_TOL:
-            raise NumericalError(
-                f"witness re-verification failed: residual {residual:.3g} > {FLOAT_TOL}"
-            )
+        residual = _check_constraints(pmf, b[1:n + 1], b[n + 1:], FLOAT_TOL)
         return FeasibilityWitness(True, pmf, None, residual, "float")
     return FeasibilityWitness(False, None, _certificate(value, y, names), value, "float")
-
-
-def constraint_residual(pmf: JointPMF, marginal_probs, conc: ConcurrenceMatrix) -> float:
-    """Largest violation by ``pmf`` of the rows :func:`lp_feasible` solves."""
-    n = pmf.n
-    A, _ = _constraint_system(n)
-    b = np.array([1.0, *(float(p) for p in marginal_probs),
-                  *(conc.entry(i, j) for i in range(n) for j in range(i + 1, n))])
-    return float(np.abs(A @ pmf.probs - b).max())
 
 
 def pushforward(pmf: JointPMF, atom_map) -> JointPMF:
@@ -139,27 +127,6 @@ def pushforward(pmf: JointPMF, atom_map) -> JointPMF:
             idx = (idx << 1) | b
         out[idx] += pmf.probs[k]
     return JointPMF(m, out)
-
-
-# ---------------------------------------------------------------------------
-# constraint system
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _constraint_system(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    bits = _bit_table(n)
-    rows = [np.ones(2 ** n)]
-    names = ["total mass"]
-    for i in range(n):
-        rows.append((bits[:, i] == 1).astype(float))
-        names.append(f"marginal {i + 1}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append((bits[:, i] == bits[:, j]).astype(float))
-            names.append(f"concurrence ({i + 1},{j + 1})")
-    A = np.array(rows)
-    A.flags.writeable = False
-    return A, tuple(names)
 
 
 def _all_small_rationals(values) -> bool:

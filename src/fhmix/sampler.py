@@ -80,12 +80,11 @@ from .errors import (
     CapacityError,
     DomainError,
     InfeasibleError,
-    NumericalError,
     UnachievableCorrelationError,
 )
 # ``quantile`` stays importable from here: bench/tracing.py wraps it by name
 from .marginals import MarginalSpec, _quantile_into, quantile  # noqa: F401
-from .oracle import FLOAT_TOL, constraint_residual, lp_feasible
+from .oracle import FLOAT_TOL, lp_feasible
 
 #: slack when checking a target correlation against its extremes
 RHO_SLACK = 1e-9
@@ -333,7 +332,9 @@ def _finish_plan(ms, target, ext, lam: ConvexityMatrix, alpha: float | None) -> 
                 marginal_names=[f"concurrence ({i},{n})" for i in range(1, n)],
             )
             if witness.feasible:
-                recipe = BernoulliRecipe("oracle_pmf", _lifted_witness(witness.pmf, lam))
+                pmf = bj.lift(witness.pmf)
+                bj._check_constraints(pmf, [0.5] * n, e[np.triu_indices(n, 1)], FLOAT_TOL)
+                recipe = BernoulliRecipe("oracle_pmf", pmf)
             else:
                 feasible = False
                 diagnostics = f"infeasible concurrence matrix: {witness.certificate}"
@@ -347,18 +348,6 @@ def _finish_plan(ms, target, ext, lam: ConvexityMatrix, alpha: float | None) -> 
         feasible=feasible,
         diagnostics=diagnostics,
     )
-
-
-def _lifted_witness(q: JointPMF, lam: ConvexityMatrix) -> JointPMF:
-    """The fair-coin law lifted from a reduced witness, re-verified against
-    the full fair-coin system."""
-    pmf = bj.lift(q)
-    residual = constraint_residual(pmf, [0.5] * pmf.n, lam)
-    if residual > FLOAT_TOL:
-        raise NumericalError(
-            f"lifted witness re-verification failed: residual {residual:.3g} > {FLOAT_TOL}"
-        )
-    return pmf
 
 
 def _checked_alpha(alpha: float, interval: AlphaInterval) -> float:

@@ -279,6 +279,28 @@ def random_pmf(rng: np.random.Generator, n: int) -> JointPMF:
     return JointPMF(n, probs)
 
 
+def leaky_lift(real_lift):
+    """``real_lift`` with mass moved off coordinate 3's agreement pattern.
+
+    Half the mass of the heaviest atom, and as much of its complement, moves
+    to the atoms that differ from them in coordinate 3 alone.  Total mass,
+    complement symmetry and every marginal hold; each concurrence (k, 3)
+    misses by twice the moved half, and (1,3) is the first such row.
+    """
+    def leaky(q: JointPMF) -> JointPMF:
+        pmf = real_lift(q)
+        n = pmf.n
+        probs = pmf.probs.copy()
+        x = int(probs.argmax())
+        moved = probs[x] / 2
+        for atom in (x, 2 ** n - 1 - x):
+            probs[atom] -= moved
+            probs[atom ^ (1 << (n - 3))] += moved
+        return JointPMF(n, probs)
+
+    return leaky
+
+
 class FixedCoin:
     """Duck-typed stand-in for a Generator whose next coin flip is forced."""
 

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from fhmix import (
     ConcurrenceMatrix,
+    DomainError,
     InfeasibleError,
     InvalidDistributionError,
     InvalidMatrixError,
     JointPMF,
+    NumericalError,
     asymmetric_pair_feasible,
     atom_bits,
     atom_index,
@@ -32,12 +34,14 @@ from fhmix import (
     trivariate_sample_direct,
     violated_principal_submatrix,
 )
-from fhmix.bernoulli_joint import lift
+from fhmix import bernoulli_joint
+from fhmix.bernoulli_joint import _bit_table, lift
 from helpers import (
     FixedCoin,
     asym_pair_pmf,
     concurrence_z,
     direct_algorithm_law,
+    leaky_lift,
     lift_law,
     pmf_residual,
     random_feasible_quad,
@@ -77,6 +81,59 @@ def test_joint_pmf_validation():
     # tiny negatives are clamped
     pmf = JointPMF(1, np.array([1.0 + 1e-13, -1e-13]))
     assert pmf.probs[1] == 0.0
+
+
+def test_accessors_reject_a_coordinate_outside_the_pmf():
+    pmf = JointPMF(3, np.full(8, 0.125))
+    for bad in (-1, -3, 3, 7, 1.0, 1.5):
+        msg = rf"coordinate {bad} is not in 0\.\.2"
+        with pytest.raises(DomainError, match=msg):
+            pmf.marginal_prob(bad)
+        with pytest.raises(DomainError, match=msg):
+            pmf.concurrence(0, bad)
+        with pytest.raises(DomainError, match=msg):
+            pmf.concurrence(bad, 1)
+    assert pmf.concurrence(1, 1) == 1.0
+    assert pmf.concurrence(2, 0) == pmf.concurrence(0, 2) == 0.5
+
+
+@st.composite
+def joint_pmfs(draw):
+    """Random, dyadic or sparse pmfs at n = 1..12."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("random", "dyadic", "sparse")))
+    if kind == "random":
+        weights = rng.random(2 ** n)
+    elif kind == "dyadic":
+        weights = rng.multinomial(1024, np.full(2 ** n, 0.5 ** n)) / 1024.0
+    else:
+        weights = np.zeros(2 ** n)
+        atoms = rng.choice(2 ** n, size=min(2 ** n, int(rng.integers(1, 6))), replace=False)
+        weights[atoms] = rng.random(atoms.size) + 1e-3
+    return JointPMF(n, weights / weights.sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(pmf=joint_pmfs())
+def test_accessors_equal_the_masked_sums_bit_for_bit(pmf):
+    # the per-coordinate masked sums are the floats every caller has seen,
+    # and the LP's pivots react to a change of one ulp in its inputs
+    bits = _bit_table(pmf.n)
+    conc = pmf.concurrence_matrix().entries
+    for i in range(pmf.n):
+        assert pmf.marginal_prob(i) == float(pmf.probs[bits[:, i] == 1].sum())
+        for j in range(pmf.n):
+            agree = float(pmf.probs[bits[:, i] == bits[:, j]].sum())
+            assert pmf.concurrence(i, j) == agree
+            if i != j:
+                assert conc[i, j] == min(1.0, agree)
+
+
+def test_a_lifted_pmf_that_misses_a_row_raises_naming_it(monkeypatch):
+    monkeypatch.setattr(bernoulli_joint, "lift", leaky_lift(lift))
+    with pytest.raises(NumericalError, match=r"concurrence \(1,3\) row"):
+        quadrivariate_lifted_pmf(ConcurrenceMatrix.filled(4, 1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

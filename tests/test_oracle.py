@@ -18,6 +18,7 @@ from fhmix import (
     lp_feasible,
     pushforward,
 )
+from fhmix import oracle
 from helpers import pmf_residual, random_feasible_quad, random_pmf
 
 
@@ -251,3 +252,17 @@ def test_marginal_names_relabel_the_certificate():
     assert not plain.feasible and "[marginal 1]" in plain.certificate
     assert named.certificate == (plain.certificate.replace("[marginal 1]", "[m-one]")
                                  .replace("[marginal 2]", "[m-two]"))
+
+
+def test_a_float_witness_that_misses_a_row_raises_naming_it(monkeypatch):
+    real = oracle._phase1_float
+
+    def shifted(A, b):
+        # the witness of the comonotone pair, 00 and 11, moved to 01 and 00
+        value, x, y, basis = real(A, b)
+        return value, np.roll(x, 1), y, basis
+
+    monkeypatch.setattr(oracle, "_phase1_float", shifted)
+    conc = ConcurrenceMatrix.from_lower_triangle([1.0], 2)
+    with pytest.raises(NumericalError, match=r"marginal 1 row"):
+        lp_feasible([0.5, 0.5], conc, mode="float")

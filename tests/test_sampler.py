@@ -22,6 +22,7 @@ from fhmix import (
     InvalidMatrixError,
     JointPMF,
     MarginalSpec,
+    NumericalError,
     UnachievableCorrelationError,
     build_plan,
     build_plan_from_concurrence,
@@ -33,13 +34,14 @@ from fhmix import (
     sample_vector,
     violated_principal_submatrix,
 )
-from fhmix import sampler
+from fhmix import bernoulli_joint, sampler
 from fhmix.sampler import _batch_values, _generator
 from helpers import (
     KS_ALPHA,
     concurrence_z,
     corr_z,
     ks_pvalue,
+    leaky_lift,
     mean_z,
     pmf_residual,
     random_pmf,
@@ -207,6 +209,12 @@ def test_explicit_alpha_is_validated():
     assert plan.recipe.alpha == 0.25
     with pytest.raises(InfeasibleError):
         build_plan([UNIFORM] * 3, target, alpha=0.5)
+
+
+def test_a_lifted_lp_recipe_that_misses_a_row_raises_naming_it(monkeypatch):
+    monkeypatch.setattr(bernoulli_joint, "lift", leaky_lift(bernoulli_joint.lift))
+    with pytest.raises(NumericalError, match=r"concurrence \(1,3\) row"):
+        build_plan_from_concurrence([UNIFORM] * 6, ConcurrenceMatrix.filled(6, 1.0))
 
 
 # ---------------------------------------------------------------------------
