@@ -136,6 +136,23 @@ def test_plan_command_infeasible_cites_sum(tmp_path, capsys):
     assert json.loads(captured.out)["feasible"] is False
 
 
+def test_plan_command_on_a_concurrence_config(tmp_path, capsys):
+    doc = {
+        "marginals": [{"family": "bernoulli", "p": 0.5}] * 4,
+        "concurrence": [0.0] * 6,
+    }
+    path = write_config(tmp_path, doc)
+    assert main(["plan", "--config", path]) == 1
+    captured = capsys.readouterr()
+    diagnostics = ("infeasible concurrence matrix: alpha lower bound 0.000000 (from 4-cycle "
+                   "sums) exceeds upper bound -0.500000 (from the minimum triangle sum)")
+    assert captured.err == diagnostics + "\n"
+    report = json.loads(captured.out)
+    assert report["feasible"] is False and report["recipe"] is None
+    assert report["diagnostics"] == diagnostics
+    assert report["lambda"][0] == [1.0, 0.0, 0.0, 0.0]
+
+
 def test_plan_unachievable_target_exits_one(tmp_path, capsys):
     doc = exp_pair()
     doc["correlation"] = [-0.9]

@@ -266,3 +266,33 @@ def test_a_float_witness_that_misses_a_row_raises_naming_it(monkeypatch):
     conc = ConcurrenceMatrix.from_lower_triangle([1.0], 2)
     with pytest.raises(NumericalError, match=r"marginal 1 row"):
         lp_feasible([0.5, 0.5], conc, mode="float")
+
+
+@pytest.mark.parametrize("probs, lower", [
+    ([0.5] * 5, [0.5] * 10),                      # fair coins, feasible
+    ([0.5] * 5, [0.25] * 10),                     # below the n = 5 bound 3/8
+    ([0.3, 0.6, 0.5, 0.8], [0.55, 0.6, 0.45, 0.45, 0.3, 0.55]),
+    ([0.9, 0.9, 0.2], [0.85, 0.3, 0.25]),
+])
+def test_the_bland_restart_gives_the_verdicts_of_dantzig(monkeypatch, probs, lower):
+    conc = ConcurrenceMatrix.from_lower_triangle(lower, len(probs))
+    plain = {mode: lp_feasible(probs, conc, mode=mode) for mode in ("float", "exact")}
+    real = oracle._simplex_iterate
+    passes = []
+
+    def dantzig_gives_up(T, basis, bland, max_iter):
+        # Dantzig's pass stops after one pivot, as on a stall
+        done = real(T, basis, bland, max_iter if bland else 1)
+        passes.append((bland, done))
+        return done
+
+    monkeypatch.setattr(oracle, "_simplex_iterate", dantzig_gives_up)
+    for mode, want in plain.items():
+        passes.clear()
+        got = lp_feasible(probs, conc, mode=mode)
+        assert passes == [(False, False), (True, True)]
+        assert got.feasible == want.feasible and got.mode == want.mode == mode
+        if got.feasible:
+            assert pmf_residual(got.pmf, probs, conc.entries) <= 1e-12
+        else:
+            assert got.certificate.startswith("no distribution satisfies the constraints")

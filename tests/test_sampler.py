@@ -190,6 +190,25 @@ def test_plan_infeasible_submatrix_diagnostics():
     assert "(1, 2, 3)" in plan.diagnostics
 
 
+def test_plan_infeasible_triple_above_its_upper_bound_diagnostics():
+    plan = build_plan_from_concurrence([UNIFORM] * 3,
+                                       ConcurrenceMatrix.from_lower_triangle([1.0, 1.0, 0.0], 3))
+    assert not plan.feasible and plan.recipe is None
+    assert plan.diagnostics == (
+        "infeasible concurrence matrix: lambda12 + lambda13 + lambda23 = 2.000000 "
+        "> 1 + 2*min(lambda) = 1.000000"
+    )
+
+
+def test_plan_infeasible_quadruple_diagnostics():
+    plan = build_plan_from_concurrence([UNIFORM] * 4, ConcurrenceMatrix.filled(4, 0.0))
+    assert not plan.feasible and plan.recipe is None
+    assert plan.diagnostics == (
+        "infeasible concurrence matrix: alpha lower bound 0.000000 (from 4-cycle sums) "
+        "exceeds upper bound -0.500000 (from the minimum triangle sum)"
+    )
+
+
 def test_wrong_triangle_length_is_a_matrix_error():
     for cls in (CorrelationMatrix, ConcurrenceMatrix):
         with pytest.raises(InvalidMatrixError, match="need 3 lower-triangle entries"):
