@@ -413,9 +413,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=extra)
         p.add_argument("--config", required=True, help="path to the JSON job config")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--streams", type=int, default=None,
-                       help="override the config stream count")
+        if name == "sample":
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+            p.add_argument("--streams", type=int, default=None,
+                           help="override the config stream count")
         if name == "verify":
             p.add_argument("csv", help="CSV file produced by the sample command")
     return parser
@@ -425,20 +426,19 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        if args.command == "bounds":
+            return cmd_bounds(cfg, args.out)
+        if args.command == "plan":
+            return cmd_plan(cfg, args.out)
+        if args.command == "verify":
+            return cmd_verify(cfg, args.csv, args.out)
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
         if args.streams is not None and args.streams < 1:
             raise ConfigError("--streams must be >= 1")
         cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
                       streams=cfg.streams if args.streams is None else args.streams)
-
-        if args.command == "bounds":
-            return cmd_bounds(cfg, args.out)
-        if args.command == "plan":
-            return cmd_plan(cfg, args.out)
-        if args.command == "sample":
-            return cmd_sample(cfg, args.out)
-        return cmd_verify(cfg, args.csv, args.out)
+        return cmd_sample(cfg, args.out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

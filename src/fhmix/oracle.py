@@ -49,13 +49,17 @@ _EXACT_DENOM_LIMIT = 10 ** 6
 
 @dataclass(frozen=True)
 class FeasibilityWitness:
-    """Verdict of :func:`lp_feasible`, with a pmf or a violation description."""
+    """Verdict of :func:`lp_feasible`: a witness pmf, or none and a violation
+    description."""
 
-    feasible: bool
     pmf: JointPMF | None
     certificate: str | None
     max_residual: float
     mode: str
+
+    @property
+    def feasible(self) -> bool:
+        return self.pmf is not None
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -104,8 +108,8 @@ def lp_feasible(marginal_probs, conc: ConcurrenceMatrix, mode: str = "auto", *,
         probs /= probs.sum()
         pmf = JointPMF(n, probs)
         residual = _check_constraints(pmf, b[1:n + 1], b[n + 1:], FLOAT_TOL)
-        return FeasibilityWitness(True, pmf, None, residual, "float")
-    return FeasibilityWitness(False, None, _certificate(value, y, names), value, "float")
+        return FeasibilityWitness(pmf, None, residual, "float")
+    return FeasibilityWitness(None, _certificate(value, y, names), value, "float")
 
 
 def pushforward(pmf: JointPMF, atom_map) -> JointPMF:
@@ -240,7 +244,7 @@ def _certify(A: np.ndarray, b: list[Fraction], basis: list[int], names,
         for v, k in zip(num, basis):
             if k < N:
                 x[k] = float(Fraction(v, det * scale))
-        return FeasibilityWitness(True, JointPMF(n, x), None, 0.0, "exact")
+        return FeasibilityWitness(JointPMF(n, x), None, 0.0, "exact")
 
     # y = num / det, with det > 0 after the sign flip
     num, det = _integer_solve(cols, [int(k >= N) for k in basis])
@@ -250,7 +254,7 @@ def _certify(A: np.ndarray, b: list[Fraction], basis: list[int], names,
     if (violation > 0 and max(num) <= det
             and (A.T.astype(np.int64) @ np.array(num, dtype=object) <= 0).all()):
         y = np.array([float(Fraction(v, det)) for v in num])
-        return FeasibilityWitness(False, None, _certificate(float(violation), y, names),
+        return FeasibilityWitness(None, _certificate(float(violation), y, names),
                                   float(violation), "exact")
     raise NumericalError(
         "final simplex basis certifies neither a witness nor infeasibility in exact arithmetic"

@@ -140,9 +140,12 @@ class SamplingPlan:
     target_corr: CorrelationMatrix
     extremes: tuple[tuple[CorrelationExtremes | None, ...], ...]
     lam: ConvexityMatrix
-    recipe: BernoulliRecipe | None
-    feasible: bool
+    recipe: BernoulliRecipe | None  # None exactly when no fair-coin law exists
     diagnostics: str
+
+    @property
+    def feasible(self) -> bool:
+        return self.recipe is not None
 
     @property
     def n(self) -> int:
@@ -220,8 +223,10 @@ def build_plan(
 
     Raises :class:`UnachievableCorrelationError` if any pairwise target falls
     outside its extremes.  A concurrence-infeasible lambda matrix does not
-    raise: the returned plan has ``feasible=False`` and ``diagnostics``
-    naming the violated inequality.
+    raise: the returned plan has no recipe (``feasible`` is False) and
+    ``diagnostics`` names the violated inequality.  ``alpha`` picks the
+    free parameter of the n = 3 and n = 4 recipes (default: the midpoint of
+    its interval); for any other n it raises :class:`DomainError`.
     """
     ms = tuple(marginals)
     _check_dimension(len(ms), target_corr.n)
@@ -273,84 +278,61 @@ def _check_dimension(n_marginals: int, n_matrix: int) -> None:
 
 
 def _finish_plan(ms, target, ext, lam: ConvexityMatrix, alpha: float | None) -> SamplingPlan:
-    n = len(ms)
-    e = lam.entries
-    recipe = None
-    feasible = True
-    diagnostics = "feasible"
+    found = _recipe(lam, alpha)
+    if isinstance(found, str):
+        return SamplingPlan(ms, target, ext, lam, None, f"infeasible concurrence matrix: {found}")
+    return SamplingPlan(ms, target, ext, lam, found, "feasible")
 
+
+def _recipe(lam: ConvexityMatrix, alpha: float | None) -> BernoulliRecipe | str:
+    """The fair-coin recipe with concurrences ``lam``, or the constraint it fails."""
+    n = lam.n
+    e = lam.entries
+    if alpha is not None and n not in (3, 4):
+        raise DomainError(f"alpha applies to n = 3 and 4 only, not to n = {n}")
     if n == 2:
-        recipe = BernoulliRecipe("bivariate", bj.bivariate_pmf(e[0, 1]))
-    elif n == 3:
-        s = e[0, 1] + e[0, 2] + e[1, 2]
-        m = min(e[0, 1], e[0, 2], e[1, 2])
-        if not bj.trivariate_feasible(e[0, 1], e[0, 2], e[1, 2]):
-            feasible = False
+        return BernoulliRecipe("bivariate", bj.bivariate_pmf(e[0, 1]))
+    if n == 3:
+        l12, l13, l23 = e[0, 1], e[0, 2], e[1, 2]
+        if not bj.trivariate_feasible(l12, l13, l23):
+            s = l12 + l13 + l23
             if s < 1.0:
-                diagnostics = (
-                    f"infeasible concurrence matrix: lambda12 + lambda13 + lambda23 "
-                    f"= {s:.6f} < 1"
-                )
-            else:
-                diagnostics = (
-                    f"infeasible concurrence matrix: lambda12 + lambda13 + lambda23 "
-                    f"= {s:.6f} > 1 + 2*min(lambda) = {1.0 + 2.0 * m:.6f}"
-                )
-        else:
-            interval = bj.trivariate_alpha_interval(e[0, 1], e[0, 2], e[1, 2])
-            a = interval.midpoint if alpha is None else _checked_alpha(alpha, interval)
-            pmf = bj.trivariate_pmf(e[0, 1], e[0, 2], e[1, 2], a)
-            recipe = BernoulliRecipe("trivariate", pmf, a, interval)
-    elif n == 4:
+                return f"lambda12 + lambda13 + lambda23 = {s:.6f} < 1"
+            return (f"lambda12 + lambda13 + lambda23 = {s:.6f} > 1 + 2*min(lambda) = "
+                    f"{1.0 + 2.0 * min(l12, l13, l23):.6f}")
+        interval = bj.trivariate_alpha_interval(l12, l13, l23)
+        a = _alpha(alpha, interval)
+        return BernoulliRecipe("trivariate", bj.trivariate_pmf(l12, l13, l23, a), a, interval)
+    if n == 4:
         interval = bj.quadrivariate_alpha_interval(lam)
         if not interval.feasible:
-            feasible = False
-            diagnostics = (
-                f"infeasible concurrence matrix: alpha lower bound {interval.lo:.6f} "
-                f"(from 4-cycle sums) exceeds upper bound {interval.hi:.6f} "
-                f"(from the minimum triangle sum)"
-            )
-        else:
-            a = interval.midpoint if alpha is None else _checked_alpha(alpha, interval)
-            pmf = bj.quadrivariate_lifted_pmf(lam, a)
-            recipe = BernoulliRecipe("quadrivariate", pmf, a, interval)
-    else:
-        bad = bj.violated_principal_submatrix(lam)
-        if bad is not None:
-            feasible = False
-            coords = ", ".join(str(i + 1) for i in bad)
-            diagnostics = (
-                f"infeasible concurrence matrix: principal submatrix on coordinates "
-                f"({coords}) fails its closed-form existence test"
-            )
-        else:
-            # the paper's reduction: X_i = 1(B_i = B_n) has marginals lambda_in
-            # and concurrences lambda_ij, so its marginal rows are
-            # concurrences (i, n) of the fair-coin system
-            witness = lp_feasible(
-                e[:-1, -1].tolist(), lam.submatrix(range(n - 1)),
-                marginal_names=[f"concurrence ({i},{n})" for i in range(1, n)],
-            )
-            if witness.feasible:
-                pmf = bj.lift(witness.pmf)
-                bj._check_constraints(pmf, [0.5] * n, e[np.triu_indices(n, 1)], FLOAT_TOL)
-                recipe = BernoulliRecipe("oracle_pmf", pmf)
-            else:
-                feasible = False
-                diagnostics = f"infeasible concurrence matrix: {witness.certificate}"
-
-    return SamplingPlan(
-        marginals=ms,
-        target_corr=target,
-        extremes=ext,
-        lam=lam,
-        recipe=recipe,
-        feasible=feasible,
-        diagnostics=diagnostics,
+            return (f"alpha lower bound {interval.lo:.6f} (from 4-cycle sums) exceeds upper "
+                    f"bound {interval.hi:.6f} (from the minimum triangle sum)")
+        a = _alpha(alpha, interval)
+        return BernoulliRecipe("quadrivariate", bj.quadrivariate_lifted_pmf(lam, a), a, interval)
+    bad = bj.violated_principal_submatrix(lam)
+    if bad is not None:
+        coords = ", ".join(str(i + 1) for i in bad)
+        return (f"principal submatrix on coordinates ({coords}) fails its closed-form "
+                f"existence test")
+    # the paper's reduction: X_i = 1(B_i = B_n) has marginals lambda_in and
+    # concurrences lambda_ij, so its marginal rows are concurrences (i, n) of
+    # the fair-coin system
+    witness = lp_feasible(
+        e[:-1, -1].tolist(), lam.submatrix(range(n - 1)),
+        marginal_names=[f"concurrence ({i},{n})" for i in range(1, n)],
     )
+    if not witness.feasible:
+        return witness.certificate
+    pmf = bj.lift(witness.pmf)
+    bj._check_constraints(pmf, [0.5] * n, e[np.triu_indices(n, 1)], FLOAT_TOL)
+    return BernoulliRecipe("oracle_pmf", pmf)
 
 
-def _checked_alpha(alpha: float, interval: AlphaInterval) -> float:
+def _alpha(alpha: float | None, interval: AlphaInterval) -> float:
+    """The interval's midpoint, or the caller's alpha if it lies inside."""
+    if alpha is None:
+        return interval.midpoint
     a = float(alpha)
     if not interval.contains(a):
         raise InfeasibleError(
@@ -491,5 +473,5 @@ def _draw_piece(marginals, levels, s: _Scratch, out: np.ndarray) -> None:
 
 
 def _require_feasible(plan: SamplingPlan) -> None:
-    if not plan.feasible or plan.recipe is None:
+    if plan.recipe is None:
         raise InfeasibleError(f"plan is not feasible: {plan.diagnostics}")

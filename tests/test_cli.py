@@ -153,6 +153,29 @@ def test_plan_command_on_a_concurrence_config(tmp_path, capsys):
     assert report["lambda"][0] == [1.0, 0.0, 0.0, 0.0]
 
 
+def test_explicit_alpha_at_n5_exits_one(tmp_path, capsys):
+    doc = {
+        "marginals": [{"family": "uniform", "a": 0.0, "b": 1.0}] * 5,
+        "correlation": [0.0] * 10,
+        "alpha_policy": {"explicit": 7.5},
+    }
+    path = write_config(tmp_path, doc)
+    assert main(["plan", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alpha applies to n = 3 and 4 only, not to n = 5\n"
+
+
+@pytest.mark.parametrize("command", [["bounds"], ["plan"], ["verify", "x.csv"]])
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--streams", "9"]])
+def test_seed_and_streams_belong_to_sample(tmp_path, capsys, command, flag):
+    path = write_config(tmp_path, exp_pair())
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", path, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_plan_unachievable_target_exits_one(tmp_path, capsys):
     doc = exp_pair()
     doc["correlation"] = [-0.9]

@@ -230,6 +230,15 @@ def test_explicit_alpha_is_validated():
         build_plan([UNIFORM] * 3, target, alpha=0.5)
 
 
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_alpha_outside_n_3_and_4_is_a_domain_error(n):
+    # only the n = 3 and n = 4 recipes have a free parameter alpha
+    with pytest.raises(DomainError, match=rf"^alpha applies to n = 3 and 4 only, not to n = {n}$"):
+        build_plan([UNIFORM] * n, CorrelationMatrix.filled(n, 0.0), alpha=123.0)
+    with pytest.raises(DomainError, match=rf"not to n = {n}$"):
+        build_plan_from_concurrence([UNIFORM] * n, ConcurrenceMatrix.filled(n, 0.5), alpha=0.1)
+
+
 def test_a_lifted_lp_recipe_that_misses_a_row_raises_naming_it(monkeypatch):
     monkeypatch.setattr(bernoulli_joint, "lift", leaky_lift(bernoulli_joint.lift))
     with pytest.raises(NumericalError, match=r"concurrence \(1,3\) row"):
@@ -627,7 +636,7 @@ def _recipe_plan(pmf: JointPMF) -> sampler.SamplingPlan:
     """A bare plan drawing ``pmf`` as its recipe, with uniform(0, 1)
     coordinates, so ``_drawn_atoms`` can read the atoms back."""
     return sampler.SamplingPlan((UNIFORM,) * pmf.n, None, (), None,
-                                BernoulliRecipe("oracle_pmf", pmf), True, "feasible")
+                                BernoulliRecipe("oracle_pmf", pmf), "feasible")
 
 
 @st.composite
