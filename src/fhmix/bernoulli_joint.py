@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import inversion
 from .errors import (
     DomainError,
     InfeasibleError,
@@ -253,21 +254,21 @@ class JointPMF:
         return ConcurrenceMatrix(m)
 
     @functools.cached_property
-    def _cdf(self) -> np.ndarray:
-        """Running sums of ``probs``, set to 1.0 from the last atom of
-        positive mass on, built on first use.  Inversion of x in [0, 1), the
-        first atom whose entry exceeds x, then never lands on a zero-mass
-        atom: not inside (its entry equals the one before), and not past a
-        float sum just short of 1."""
+    def _levels(self) -> tuple[np.ndarray, ...]:
+        """Search tables (:func:`fhmix.inversion.levels`), built on first
+        use, over the running sums of ``probs`` set to 1.0 from the last atom
+        of positive mass on; table i decides coordinate i's bit.  Inversion
+        of x in [0, 1), the first atom whose entry exceeds x, then never
+        lands on a zero-mass atom: not inside (its entry equals the one
+        before), and not past a float sum just short of 1."""
         cdf = np.cumsum(self.probs)
         cdf[np.flatnonzero(self.probs)[-1]:] = 1.0
-        cdf.flags.writeable = False
-        return cdf
+        return inversion.levels(cdf)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw atoms by inversion; returns bits, shape (n,) or (size, n)."""
         count = 1 if size is None else int(size)
-        idx = np.searchsorted(self._cdf, rng.random(count), side="right")
+        idx = inversion.index(self._levels, rng.random(count), "right")
         bits = _bit_table(self.n)[idx].astype(np.int64)
         if size is None:
             return bits[0]

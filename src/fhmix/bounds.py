@@ -8,22 +8,23 @@ They are attained by inverse-transform coupling through one uniform U:
 Correlation ignores location and scale, so both are integrals of products of
 standardized quantiles q(u) = (F^{-1}(u) - mu) / sigma, exact through the
 elementary primitives G(u) = int_0^u q of every family.  Two continuous
-families give a shape constant (Demirtas & Hedeker 2011); normal/exponential,
-the one with no elementary form, is integrated by quadrature once per process.
+families give a shape constant (Demirtas & Hedeker 2011).  The
+normal/exponential one, int phi^2 / (1 - Phi), has no elementary form and is
+written out to double precision from a 40-digit mpmath value.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtri, xlogy
 
-from .errors import DegenerateMarginalError, NumericalError, QuadratureError
-from .marginals import MarginalSpec, _empirical_cum_weights, _empirical_standardization, quantile
+from .errors import DegenerateMarginalError, NumericalError
+from .marginals import MarginalSpec, _empirical_cum_weights, _empirical_standardization
+# ``quantile`` stays importable from here: bench/tracing.py wraps it by name
+from .marginals import quantile  # noqa: F401
 
 #: extremes closer than this are treated as a degenerate (zero-width) interval
 DEGENERATE_WIDTH = 1e-10
@@ -33,6 +34,8 @@ _DISCRETE = ("bernoulli", "empirical")
 # (rho_minus, rho_plus) of two continuous shapes, keyed by the sorted family pair
 _SHAPE_EXTREMES = {
     ("exponential", "exponential"): (1.0 - math.pi ** 2 / 6.0, 1.0),
+    # the normal quantile is odd, so the interval is symmetric
+    ("exponential", "normal"): (-0.9031972855686253, 0.9031972855686253),
     ("exponential", "uniform"): (-math.sqrt(3.0) / 2.0, math.sqrt(3.0) / 2.0),
     ("normal", "normal"): (-1.0, 1.0),
     ("normal", "uniform"): (-math.sqrt(3.0 / math.pi), math.sqrt(3.0 / math.pi)),
@@ -46,7 +49,7 @@ class CorrelationExtremes:
 
     rho_minus: float
     rho_plus: float
-    method: str  # "closed_form" or "quadrature"
+    method: str  # always "closed_form"; kept as a field of the public record
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rho_minus) and math.isfinite(self.rho_plus)):
@@ -75,18 +78,14 @@ def corr_extremes(mi: MarginalSpec, mj: MarginalSpec) -> CorrelationExtremes:
     """Minimum and maximum achievable correlation between two marginals.
 
     Exact on the standardized marginals, so invariant under location and
-    scale.  ``method`` is ``"closed_form"``, except for the normal/exponential
-    constant: ``"quadrature"``, and :class:`QuadratureError` if the
-    integrator cannot certify it.  The pair is ordered canonically before
-    computing, so the result is exactly symmetric in its arguments.
+    scale; ``method`` is ``"closed_form"`` for every pair.  The pair is
+    ordered canonically before computing, so the result is exactly
+    symmetric in its arguments.
     """
     a, b = sorted((mi, mj), key=_sort_key)
     if a.family == "bernoulli" and b.family == "bernoulli":
         return bernoulli_corr_extremes(a.params[0], b.params[0])
 
-    if (a.family, b.family) == ("exponential", "normal"):
-        rho = _normal_exponential_rho()
-        return CorrelationExtremes(-rho, rho, "quadrature")  # the normal quantile is odd
     if a.family not in _DISCRETE:  # discrete families sort first
         return CorrelationExtremes(*_SHAPE_EXTREMES[a.family, b.family], "closed_form")
 
@@ -148,25 +147,18 @@ def _primitive(m: MarginalSpec, u: np.ndarray) -> np.ndarray:
     return -np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
-@functools.cache
-def _normal_exponential_rho() -> float:
-    """Corr(Phi^-1(U), -log(1 - U)); the integral is folded at 1/2 so that no
-    node comes near u = 1, where both quantiles diverge."""
-    normal, exponential = MarginalSpec.normal(0.0, 1.0), MarginalSpec.exponential(1.0)
-
-    def product(u: float) -> float:
-        return quantile(normal, u) * (quantile(exponential, u) - 1.0)
-
-    value, abserr, _, *trouble = quad(lambda u: product(u) + product(1.0 - u), 0.0, 0.5,
-                                      epsabs=1e-13, epsrel=0.0, limit=100, full_output=True)
-    if trouble or not abserr <= 1e-12:
-        raise QuadratureError(f"normal/exponential constant: abserr={abserr:.3g}", abserr=abserr)
-    return value
-
-
 def _clip_corr(x: float) -> float:
     return min(1.0, max(-1.0, x))
 
 
 def _sort_key(m: MarginalSpec):
     return (m.family, m.params, m.values or (), m.weights or ())
+
+
+def __getattr__(name: str):
+    # ``quad`` loads scipy.integrate on lookup only, for bench/tracing.py, which wraps
+    # it by name; it goes with those wrappers (the observability item on ROADMAP.md)
+    if name == "quad":
+        from scipy.integrate import quad
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -103,15 +103,9 @@ def parse_config(text: str) -> JobConfig:
         )
     tri = tuple(_require_number(v, key) for v in tri)
 
-    count = raw.get("count", 1000)
-    if not isinstance(count, int) or count < 1:
-        raise ConfigError(f"'count' must be a positive integer, got {count!r}")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
-    streams = raw.get("streams", 1)
-    if not isinstance(streams, int) or streams < 1:
-        raise ConfigError(f"'streams' must be a positive integer, got {streams!r}")
+    count = _require_int(raw.get("count", 1000), "count", 1)
+    seed = _require_int(raw.get("seed", 0), "seed", 0)
+    streams = _require_int(raw.get("streams", 1), "streams", 1)
 
     policy = raw.get("alpha_policy", "midpoint")
     if policy == "midpoint":
@@ -171,7 +165,9 @@ def _parse_marginal(record, index: int) -> MarginalSpec:
         weights = record.get("weights")
         if weights is not None and not isinstance(weights, list):
             raise ConfigError("empirical 'weights' must be a list")
-        return MarginalSpec.empirical(values, weights)
+        return MarginalSpec.empirical(
+            [_require_number(v, "values") for v in values],
+            None if weights is None else [_require_number(w, "weights") for w in weights])
     except FhmixError as exc:
         raise ConfigError(f"marginal {index + 1}: {exc}") from exc
 
@@ -185,9 +181,18 @@ def _marginal_record(m: MarginalSpec) -> dict:
 
 
 def _require_number(v, name: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    # abs() compares an int beyond the float range exactly; math.isfinite overflows
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
         raise ConfigError(f"'{name}' must be a finite number, got {v!r}")
     return float(v)
+
+
+def _require_int(v, name: str, low: int) -> int:
+    """``v`` as a JSON integer of at least ``low`` (0 or 1); booleans are not integers."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < low:
+        kind = "positive" if low else "nonnegative"
+        raise ConfigError(f"'{name}' must be a {kind} integer, got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------

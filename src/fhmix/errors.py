@@ -55,7 +55,11 @@ class NumericalError(FhmixError, FloatingPointError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Adaptive quadrature failed to reach the requested tolerance.
+
+    fhmix no longer raises it: every correlation extreme has a closed form.
+    It stays as public API, so callers that catch it keep working.
+    """
 
     def __init__(self, message: str, abserr: float | None = None):
         super().__init__(message)

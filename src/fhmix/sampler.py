@@ -59,7 +59,6 @@ never drawn.
 
 from __future__ import annotations
 
-import functools
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -68,7 +67,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bernoulli_joint as bj
-from . import inversion
 from .bernoulli_joint import (
     AlphaInterval,
     ConcurrenceMatrix,
@@ -115,21 +113,15 @@ class CorrelationMatrix(_UnitDiagonalMatrix):
 class BernoulliRecipe:
     """Compiled fair-coin vector source: a pmf over {0,1}^n.
 
-    The search tables of the draw (:attr:`_levels`) are built on the first
-    draw and cached, so compiling a plan that is never drawn from costs
-    nothing here.
+    The search tables of the draw (the pmf's ``_levels``) are built on the
+    first draw and cached, so compiling a plan that is never drawn from
+    costs nothing here.
     """
 
     kind: str  # "bivariate" | "trivariate" | "quadrivariate" | "oracle_pmf"
     pmf: JointPMF
     alpha: float | None = None
     alpha_interval: AlphaInterval | None = None
-
-    @functools.cached_property
-    def _levels(self) -> tuple[np.ndarray, ...]:
-        """Search tables over the pmf's cdf (:func:`fhmix.inversion.levels`):
-        table i decides coordinate i's bit."""
-        return inversion.levels(self.pmf._cdf)
 
 
 @dataclass(frozen=True)
@@ -382,7 +374,7 @@ def _generator(seed: int, stream_id: int) -> np.random.Generator:
 
 def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> np.ndarray:
     # build the lazily cached search tables here, so no worker builds them
-    levels = plan.recipe._levels
+    levels = plan.recipe.pmf._levels
     for m in plan.marginals:
         if m.family == "empirical":
             m._levels

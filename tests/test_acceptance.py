@@ -108,7 +108,7 @@ def test_criterion_04_exponential_minimum_correlation():
     m = MarginalSpec.exponential(1.0)
     empirical = float(np.corrcoef(quantile(m, u), quantile(m, 1.0 - u))[0, 1])
     assert abs(empirical - target) < 0.005
-    _report(4, f"antithetic exponential pair: quadrature {ext.rho_minus:.8f}, "
+    _report(4, f"antithetic exponential pair: closed form {ext.rho_minus:.8f}, "
                f"Monte Carlo {empirical:.5f}, target {target:.8f}", t0, 30.0)
 
 

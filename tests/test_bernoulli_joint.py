@@ -239,6 +239,45 @@ def test_trivariate_grid_agrees_with_lp():
         assert closed == lp_feasible([0.5] * 3, conc, mode="float").feasible
 
 
+@st.composite
+def small_dyadic_concurrences(draw):
+    """A 3x3 or 4x4 concurrence matrix with dyadic entries: either k/16
+    entries drawn at random, or the concurrences of a fair-coin law of
+    sixteen masses of 1/16, each split evenly between an atom and its
+    complement, on a random subset of atoms, so that laws on a face of the
+    feasible set come up often.  Then up to two entries move by +-1/64
+    (kept in [0, 1])."""
+    n = draw(st.sampled_from([3, 4]))
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(0, 16), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2))
+        e = ConcurrenceMatrix.from_lower_triangle([k / 16 for k in ks], n).entries.copy()
+    else:
+        support = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1, max_size=2 ** n,
+                                unique=True))
+        probs = np.zeros(2 ** n)
+        for atom in draw(st.lists(st.sampled_from(support), min_size=16, max_size=16)):
+            probs[atom] += 1 / 32
+            probs[2 ** n - 1 - atom] += 1 / 32
+        e = JointPMF(n, probs).concurrence_matrix().entries.copy()
+    for i, j in draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                              max_size=2)):
+        step = draw(st.sampled_from([-1, 1])) / 64
+        e[i, j] = e[j, i] = min(1.0, max(0.0, e[i, j] + step))
+    return ConcurrenceMatrix(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(conc=small_dyadic_concurrences())
+def test_closed_form_verdicts_equal_the_exact_lp(conc):
+    e = conc.entries
+    if conc.n == 3:
+        closed = trivariate_feasible(e[0, 1], e[0, 2], e[1, 2])
+    else:
+        closed = quadrivariate_alpha_interval(conc).feasible
+    assert closed == lp_feasible([0.5] * conc.n, conc, mode="exact").feasible
+
+
 # ---------------------------------------------------------------------------
 # direct trivariate sampler
 # ---------------------------------------------------------------------------

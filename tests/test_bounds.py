@@ -1,17 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+import fhmix
 from fhmix import (
     CorrelationExtremes,
     DegenerateMarginalError,
     MarginalSpec,
-    QuadratureError,
     bernoulli_corr_extremes,
-    bounds,
     corr_extremes,
     moments,
     quantile,
@@ -22,7 +25,7 @@ NORMAL_EXPONENTIAL_RHO = 0.9031972855686253  # mpmath, 30 digits
 
 
 def two_point(p: float) -> MarginalSpec:
-    """Bern(p) rebuilt as an empirical marginal, to force the quadrature path."""
+    """Bern(p) rebuilt as an empirical marginal, to take the finite-sum path."""
     return MarginalSpec.empirical([0.0, 1.0], [1.0 - p, p])
 
 
@@ -38,10 +41,7 @@ def test_many_atom_empirical_stays_in_the_error_hierarchy():
     # subinterval limit of 400
     values = np.sort(np.random.default_rng(8).normal(size=1000))
     emp = MarginalSpec.empirical(values)
-    try:
-        ext = corr_extremes(emp, MarginalSpec.uniform(0.0, 1.0))
-    except QuadratureError:
-        return
+    ext = corr_extremes(emp, MarginalSpec.uniform(0.0, 1.0))
     # exact finite sums: atom k carries u in (c_k, c_{k+1}], each of mass 1/1000
     c = np.arange(1001) / 1000.0
     plus = float(np.sum(values * (c[1:] ** 2 - c[:-1] ** 2) / 2.0))  # E[Q(U) U]
@@ -188,33 +188,35 @@ def test_degenerate_flag():
 
 
 def test_normal_exponential_constant():
-    ext = corr_extremes(MarginalSpec.exponential(3.0), MarginalSpec.normal(-2.0, 0.1))
-    assert ext.method == "quadrature"
-    assert ext.rho_plus == pytest.approx(NORMAL_EXPONENTIAL_RHO, abs=1e-12)
-    assert ext.rho_minus == -ext.rho_plus
+    exact = CorrelationExtremes(-NORMAL_EXPONENTIAL_RHO, NORMAL_EXPONENTIAL_RHO, "closed_form")
+    for normal in (MarginalSpec.normal(0.0, 1.0), MarginalSpec.normal(-2.0, 0.1),
+                   MarginalSpec.normal(1e6, 3e4)):
+        for rate in (1.0, 3.0, 1e-4):
+            exponential = MarginalSpec.exponential(rate)
+            assert corr_extremes(exponential, normal) == exact
+            assert corr_extremes(normal, exponential) == exact
 
 
-def test_quadrature_runs_once_for_the_normal_exponential_constant(monkeypatch):
-    calls = []
-    original = bounds.quad
+def test_normal_exponential_constant_is_the_quantile_integral():
+    # Corr(Phi^-1(U), -log(1 - U)), folded at 1/2 so that no node comes
+    # near u = 1, where both quantiles diverge
+    normal, exponential = MarginalSpec.normal(0.0, 1.0), MarginalSpec.exponential(1.0)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def product(u: float) -> float:
+        return quantile(normal, u) * (quantile(exponential, u) - 1.0)
 
-    monkeypatch.setattr(bounds, "quad", counted)
-    bounds._normal_exponential_rho.cache_clear()
-    ms = [MarginalSpec.uniform(0.0, 1.0), MarginalSpec.exponential(1.0),
-          MarginalSpec.normal(0.0, 1.0), MarginalSpec.bernoulli(0.4),
-          MarginalSpec.empirical([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])]
-    for mi in ms:
-        for mj in ms:
-            if {mi.family, mj.family} != {"normal", "exponential"}:
-                corr_extremes(mi, mj)
-    assert calls == []
-    for rate in (0.5, 1.0, 2.0):
-        corr_extremes(MarginalSpec.normal(rate, 1.0), MarginalSpec.exponential(rate))
-    assert calls == [1]
+    value, abserr = quad(lambda u: product(u) + product(1.0 - u), 0.0, 0.5,
+                         epsabs=1e-13, epsrel=0.0, limit=100)
+    assert abserr <= 1e-12
+    assert value == pytest.approx(NORMAL_EXPONENTIAL_RHO, abs=1e-12)
+
+
+def test_importing_fhmix_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(fhmix.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, fhmix, fhmix.cli; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize(

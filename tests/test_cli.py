@@ -63,6 +63,42 @@ def test_config_validation_errors(mutate):
         parse_config(json.dumps(doc))
 
 
+def _empirical_first(values, weights=None):
+    def mutate(d):
+        d["marginals"][0] = {"family": "empirical", "values": values}
+        if weights is not None:
+            d["marginals"][0]["weights"] = weights
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(count=True),
+        lambda d: d.update(seed=False),
+        lambda d: d.update(streams=True),
+        _empirical_first([0.0, "1"]),
+        _empirical_first([0.0, True]),
+        _empirical_first([0.0, "a"]),
+        _empirical_first([0.0, None]),
+        _empirical_first([0.0, [2]]),
+        _empirical_first([0.0, 10 ** 400]),
+        _empirical_first([0.0, 1.0], [0.5, "0.5"]),
+        _empirical_first([0.0, 1.0], [0.5, None]),
+        _empirical_first([0.0, 1.0], [0.5, [0.5]]),
+    ],
+    ids=["count-true", "seed-false", "streams-true", "value-string", "value-true",
+         "value-letter", "value-null", "value-list", "value-huge-int", "weight-string",
+         "weight-null", "weight-list"],
+)
+def test_non_numbers_and_booleans_are_usage_errors(tmp_path, capsys, mutate):
+    doc = exp_pair()
+    mutate(doc)
+    path = write_config(tmp_path, doc)
+    assert main(["sample", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_rejects_bad_json():
     with pytest.raises(ConfigError):
         parse_config("{not json")
