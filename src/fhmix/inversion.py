@@ -30,13 +30,20 @@ def levels(cdf: np.ndarray) -> tuple[np.ndarray, ...]:
                  for i in range(depth))
 
 
-def index(tables: tuple[np.ndarray, ...], x: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(cdf, x, side)`` for x in [0, 1), from ``levels(cdf)``."""
+def index(tables: tuple[np.ndarray, ...], x: np.ndarray, side: str,
+          work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """``np.searchsorted(cdf, x, side)`` for x in [0, 1), from ``levels(cdf)``.
+
+    ``work``, if given, is an (intp, float64, bool) triple of arrays shaped
+    like ``x`` that the search uses in place of new ones; the result is then
+    its first array.
+    """
     step = np.less_equal if side == "right" else np.less
     x = np.asarray(x)
-    p = np.zeros(x.shape, np.intp)
-    edge = np.empty(x.shape)
-    bit = np.empty(x.shape, bool)
+    if work is None:
+        work = np.empty(x.shape, np.intp), np.empty(x.shape), np.empty(x.shape, bool)
+    p, edge, bit = work
+    p.fill(0)
     for table in tables:
         # p holds the index's first i bits, so p < 2^i: "clip" is only the
         # fastest mode of take

@@ -194,12 +194,14 @@ def quantile(m: MarginalSpec, u):
     return out
 
 
-def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray,
+                   work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """:func:`quantile` of ``u`` written into ``out``, with no range check:
     the one formula per family that both ``quantile`` and the sampler
     evaluate.  ``out`` may be ``u`` itself only when ``u`` is contiguous:
     numpy 2.4.6 computes ``np.negative(v, out=v)`` wrongly for a column v
-    with a 64-byte stride, as in an (rows, 8) array."""
+    with a 64-byte stride, as in an (rows, 8) array.  ``work`` is lent to
+    the empirical search (:func:`fhmix.inversion.index`)."""
     if m.family == "uniform":
         a, b = m.params
         np.multiply(u, b - a, out=out)
@@ -219,7 +221,9 @@ def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray) -> np.ndarra
         (p,) = m.params
         np.greater(u, 1.0 - p, out=out)
     else:  # empirical
-        np.take(m.values, inversion.index(m._levels, u, "left"), out=out)
+        # the index is below len(values), as the cdf ends at 1.0 and u < 1:
+        # "clip" is only the mode of take that writes into out unbuffered
+        np.take(m.values, inversion.index(m._levels, u, "left", work), out=out, mode="clip")
     return out
 
 

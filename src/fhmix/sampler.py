@@ -44,7 +44,8 @@ worker count.  The scratch sets, one per worker, are allocated on the
 calling thread and passed between workers through a queue, because memory
 that a worker thread allocates and frees stays in that thread's malloc
 arena: with scratch allocated per piece on the workers, the peak RSS of a
-process drawing 10^6 rows at n = 12 grew by 4-16%.  So a batch's
+process drawing 10^6 rows at n = 12 grew by 4-16%.  For the same reason an
+empirical quantile searches in its scratch set's idle arrays.  So a batch's
 temporaries take a fixed amount of memory whatever its size.
 
 B is found by inversion of the recipe
@@ -424,6 +425,7 @@ class _Scratch:
         self.v = np.empty(rows, np.uint64)
         self.diff = np.empty(rows, np.uint64)
         self.prefix = np.empty(rows, np.intp)
+        self.index = np.empty(rows, np.intp)
         self.edge = np.empty(rows)
         self.bit = np.empty(rows, bool)
         self.w = np.empty(rows, np.uint64)
@@ -461,7 +463,9 @@ def _draw_piece(marginals, levels, s: _Scratch, out: np.ndarray) -> None:
         np.negative(b, out=w, dtype=np.uint64)
         w &= diff
         w ^= v
-        out[:, i] = _quantile_into(m, w.view(np.float64), c)
+        # e and b are idle until the next step: lend them to an empirical
+        # quantile's search, so a worker thread allocates no column
+        out[:, i] = _quantile_into(m, w.view(np.float64), c, (s.index[:k], e, b))
 
 
 def _require_feasible(plan: SamplingPlan) -> None:

@@ -1,10 +1,16 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fhmix import cli
+from fhmix import cli, sampler
 from fhmix.cli import main, parse_config, serialize_config
 from fhmix.errors import ConfigError, NumericalError
 
@@ -422,3 +428,104 @@ def test_sample_memory_does_not_grow_with_count(tmp_path):
     rows = 2 * cli.CHUNK_ROWS
     peak(10)  # one-time caches
     assert peak(4 * rows) <= 1.25 * peak(rows)
+
+
+def n4_job(count, streams=1):
+    """A job of several CLI blocks: n = 4 with an 8-atom empirical."""
+    return {
+        "marginals": [{"family": "uniform", "a": -1.0, "b": 2.0},
+                      {"family": "exponential", "rate": 1.5},
+                      {"family": "normal", "mean": 0.5, "sd": 2.0},
+                      {"family": "empirical",
+                       "values": [-3.0, -1.5, -0.25, 0.0, 0.5, 1.0, 2.5, 7.0],
+                       "weights": [0.05, 0.1, 0.2, 0.15, 0.1, 0.2, 0.15, 0.05]}],
+        "correlation": [0.3, -0.2, 0.1, 0.4, 0.0, -0.1],
+        "count": count,
+        "seed": 17,
+        "streams": streams,
+    }
+
+
+def pool_runs(monkeypatch):
+    """The worker counts of the pools ``sample`` starts from now on."""
+    runs = []
+    write_on_pool = cli._write_on_pool
+
+    def spy(out, blocks, workers):
+        runs.append(workers)
+        write_on_pool(out, blocks, workers)
+
+    monkeypatch.setattr(cli, "_write_on_pool", spy)
+    return runs
+
+
+@pytest.mark.parametrize("streams", [1, 3])
+def test_pool_writes_the_rows_of_sample_batch(tmp_path, monkeypatch, streams):
+    # several blocks per stream and a short last one, formatted on three
+    # forked workers and, with one CPU, on the calling thread
+    assert cli.CHUNK_ROWS <= sampler.CHUNK_ROWS  # so drawing a block starts no thread
+    count = 3 * cli.CHUNK_ROWS + 17
+    path = write_config(tmp_path, n4_job(count, streams))
+    runs = pool_runs(monkeypatch)
+    text = {}
+    for cpus in ({0, 1, 2}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        out = tmp_path / f"{len(cpus)}.csv"
+        assert main(["sample", "--config", path, "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        text[len(cpus)] = out.read_text()
+    assert runs == [3]
+
+    from fhmix import sample_batch
+
+    cfg = parse_config((tmp_path / "job.json").read_text())
+    plan = cli._plan_from_config(cfg)
+    counts = [count // streams + (k < count % streams) for k in range(streams)]
+    rows = [row for k, c in enumerate(counts)
+            for row in sample_batch(plan, c, cfg.seed, k).values.tolist()]
+    expected = "x1,x2,x3,x4\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert text[3] == expected
+    assert text[1] == expected
+
+
+def test_a_closed_stdout_pipe_is_one_error_line(tmp_path):
+    # the reader leaves after 100 bytes while three forked workers format:
+    # one error line, exit 2, and no worker left holding stderr open
+    path = write_config(tmp_path, n4_job(3 * cli.CHUNK_ROWS + 17))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+              "from fhmix.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.Popen([sys.executable, "-c", script, "sample", "--config", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert err.decode() == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_failed_out_write_stops_the_workers(tmp_path, capsys, monkeypatch):
+    # --out is a pipe whose reader, another process, leaves after 100 bytes,
+    # so a block's write fails while three forked workers format
+    path = write_config(tmp_path, n4_job(3 * cli.CHUNK_ROWS + 17))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    runs = pool_runs(monkeypatch)
+    r, w = os.pipe()
+    reader = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.buffer.read(100)"],
+                              stdin=r)
+    os.close(r)
+    try:
+        assert main(["sample", "--config", path, "--out", f"/dev/fd/{w}"]) == 2
+    finally:
+        os.close(w)
+        reader.kill()
+        reader.wait(timeout=60)
+    assert runs == [3]
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    assert multiprocessing.active_children() == []

@@ -58,3 +58,13 @@ def test_levels_are_the_midpoints_of_the_padded_cdf():
     tables = levels(cdf)
     assert [t.tolist() for t in tables] == [[0.8], [0.3, 1.0], [0.1, 0.6, 1.0, 1.0]]
     assert len(levels(np.array([1.0]))) == 1
+
+
+def test_index_searches_in_lent_arrays():
+    cdf = np.array([0.1, 0.3, 0.6, 0.8, 1.0])
+    x = np.random.default_rng(5).random(1000)
+    work = np.empty(1000, np.intp), np.empty(1000), np.empty(1000, bool)
+    for side in SIDES:
+        found = index(levels(cdf), x, side, work)
+        assert found is work[0]
+        assert np.array_equal(found, np.searchsorted(cdf, x, side))

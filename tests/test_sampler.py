@@ -543,6 +543,26 @@ def test_draw_scratch_does_not_grow_with_count(monkeypatch):
     assert scratch[8 * sampler.CHUNK_ROWS] <= 1.25 * scratch[2 * sampler.CHUNK_ROWS]
 
 
+def test_a_piece_allocates_no_column(monkeypatch):
+    # the empirical quantile searches in the scratch set's idle arrays, so a
+    # worker thread leaves no column-sized block in its malloc arena; the
+    # peak left is numpy's fixed cast buffer
+    plan = build_plan(MIXED, CorrelationMatrix.filled(5, 0.1))
+    rows = sampler.PIECE_ROWS
+    levels = plan.recipe.pmf._levels
+    _batch_values(plan, 1, _generator(1, 0))  # cache the search tables
+    scratch = sampler._Scratch(rows).load(_generator(1, 0), rows)
+    out = np.empty((rows, plan.n))
+    tracemalloc.start()
+    try:
+        sampler._draw_piece(plan.marginals, levels, scratch, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rows // 4
+    assert out.tobytes() == _batch_values(plan, rows, _generator(1, 0)).tobytes()
+
+
 class _ZeroGenerator:
     """Stand-in for a Generator whose every uniform is exactly 0.0."""
 
