@@ -7,8 +7,19 @@ equality system
     sum(pi) = 1,   sum_{atoms with bit i} pi = p_i,
     sum_{atoms with bit i == bit j} pi = lambda_ij,   pi >= 0.
 
-One engine solves every call: a numpy tableau with Dantzig's rule and a
-Bland's-rule restart.  The mode decides how its answer is trusted:
+One engine solves every call: a revised simplex that keeps A and an
+explicit inverse of the m x m basis.  Each pivot prices every column with
+one pass y @ [A | I] (y = c_B B^-1, the duals), forms the entering column
+B^-1 a_j and updates B^-1 by a rank-1 step, which costs m^2 instead of the
+m (N + m) of a full tableau.  B^-1 is refactored from the original columns
+every 32 pivots (``_REFACTOR_EVERY``), and the returned solution and duals
+come from a fresh factorization, so rounding does not accumulate into a
+wrong verdict.  Dantzig's rule runs first, with a Harris two-pass ratio test
+(the smallest ratio against the right-hand side relaxed by 1e-9, then the
+largest pivot element among the rows within that bound), which keeps tiny
+pivots out of the basis; on a stall, a cycle or a numerical failure (a
+singular basis) it restarts with Bland's rule and its lowest-index ratio
+test, which terminates.  The mode decides how the answer is trusted:
 
 * float   - the phase-1 optimum is compared against 1e-9 and any witness is
             re-verified against the constraints at that tolerance.
@@ -144,46 +155,70 @@ def _all_small_rationals(values) -> bool:
 # float simplex
 # ---------------------------------------------------------------------------
 
+#: pivots between refactorizations of the basis inverse from the original columns
+_REFACTOR_EVERY = 32
+#: right-hand-side relaxation of the first pass of the Harris ratio test
+_HARRIS_TOL = 1e-9
+
+
+@dataclass
+class _Phase1:
+    """Revised-simplex state over the columns [A | I] with costs c (0 on
+    atoms, 1 on artificials).  T is [B^-1 | x_B] for the basis B, with
+    x_B = B^-1 b; cb holds the costs of the basic columns."""
+
+    AI: np.ndarray
+    c: np.ndarray
+    Ib: np.ndarray  # [I | b]
+    T: np.ndarray
+    cb: np.ndarray
+    since: int = 0  # pivots since T was refactored
+
+
 def _phase1_float(A: np.ndarray,
                   b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, list[int]]:
     """Minimize total artificial slack; returns (optimum, atom vector, duals, basis).
 
     Basis entries index the columns of [A | I]: k < N is atom k, k >= N is
-    the artificial of row k - N.
+    the artificial of row k - N.  The returned values come from a basis
+    inverse refactored from the original columns.
     """
     m, N = A.shape
-    T = np.zeros((m + 1, N + m + 1))
-    # Dantzig's rule first; on a rare stall or cycle, restart with Bland's
-    # rule, which terminates
+    AI = np.hstack((A, np.eye(m)))
+    c = np.concatenate((np.zeros(N), np.ones(m)))
+    Ib = np.column_stack((np.eye(m), b))
+    # Dantzig's rule first; on a rare stall, cycle or numerical failure,
+    # restart with Bland's rule, which terminates
     for bland, max_iter in ((False, 60 * (m + 2)), (True, 500 * (N + m))):
-        T[:m, :N] = A
-        T[:m, N:N + m] = np.eye(m)
-        T[:m, -1] = b
-        # reduced-cost row under the artificial basis (price vector all ones)
-        T[m, :] = 0.0
-        T[m, :N] = -A.sum(axis=0)
-        T[m, -1] = -b.sum()
+        state = _Phase1(AI, c, Ib, Ib.copy(), np.ones(m))
         basis = list(range(N, N + m))
-        if _simplex_iterate(T, basis, bland, max_iter):
-            break
+        try:
+            if _simplex_iterate(state, basis, bland, max_iter):
+                _refactor(state, basis)
+                break
+        except NumericalError:
+            if bland:
+                raise
     else:
         raise NumericalError("phase-1 simplex failed to terminate")
 
-    value = -T[m, -1]
     x = np.zeros(N)
     for row, col in enumerate(basis):
         if col < N:
-            x[col] = T[row, -1]
-    y = 1.0 - T[m, N:N + m]
-    return value, x, y, basis
+            x[col] = state.T[row, m]
+    yv = state.cb @ state.T
+    return float(yv[m]), x, yv[:m], basis
 
 
-def _simplex_iterate(T: np.ndarray, basis: list[int], bland: bool, max_iter: int) -> bool:
-    m = T.shape[0] - 1
+def _simplex_iterate(state: _Phase1, basis: list[int], bland: bool, max_iter: int) -> bool:
+    m = len(basis)
     for _ in range(max_iter):
-        if T[m, -1] >= -_PIVOT_TOL:  # a zero objective is optimal; later pivots are degenerate
+        if state.since == _REFACTOR_EVERY:
+            _refactor(state, basis)
+        yv = state.cb @ state.T  # duals, then the objective
+        if yv[m] <= _PIVOT_TOL:  # a zero objective is optimal; later pivots are degenerate
             return True
-        red = T[m, :-1]
+        red = state.c - yv[:m] @ state.AI
         if bland:
             neg = np.nonzero(red < -_PIVOT_TOL)[0]
             if neg.size == 0:
@@ -193,24 +228,37 @@ def _simplex_iterate(T: np.ndarray, basis: list[int], bland: bool, max_iter: int
             j = int(red.argmin())
             if red[j] >= -_PIVOT_TOL:
                 return True
-        col = T[:m, j]
-        pos = np.nonzero(col > _PIVOT_TOL)[0]
+        alpha = state.T[:, :m] @ state.AI[:, j]
+        pos = np.nonzero(alpha > _PIVOT_TOL)[0]
         if pos.size == 0:
             raise NumericalError("phase-1 simplex reports an unbounded column")
-        ratios = T[pos, -1] / col[pos]
-        best = ratios.min()
-        ties = pos[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        r = int(min(ties, key=lambda k: basis[k]))
-        _pivot(T, r, j)
+        col, xb = alpha[pos], state.T[pos, m]
+        ratios = xb / col
+        if bland:
+            best = ratios.min()
+            ties = pos[ratios <= best + 1e-12 * (1.0 + abs(best))]
+            r = int(min(ties, key=lambda k: basis[k]))
+        else:
+            # Harris: the largest pivot among the rows within the relaxed bound
+            within = ratios <= ((xb + _HARRIS_TOL) / col).min()
+            r = int(pos[within][col[within].argmax()])
+        # rank-1 update of [B^-1 | x_B] for column j entering at row r
+        row = state.T[r] / alpha[r]
+        state.T -= alpha[:, None] * row
+        state.T[r] = row
+        state.cb[r] = state.c[j]
+        state.since += 1
         basis[r] = j
     return False
 
 
-def _pivot(T: np.ndarray, r: int, j: int) -> None:
-    pr = T[r] / T[r, j]
-    factor = T[:, j].copy()
-    T -= np.outer(factor, pr)
-    T[r] = pr
+def _refactor(state: _Phase1, basis: list[int]) -> None:
+    """Recompute [B^-1 | x_B] from the original basis columns."""
+    try:
+        state.T = np.linalg.solve(state.AI[:, basis], state.Ib)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"phase-1 simplex basis is singular: {exc}") from exc
+    state.since = 0
 
 
 # ---------------------------------------------------------------------------

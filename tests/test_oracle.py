@@ -1,9 +1,10 @@
+import json
 from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fhmix import (
@@ -19,6 +20,8 @@ from fhmix import (
     pushforward,
 )
 from fhmix import oracle
+from fhmix.cli import main
+from fhmix.oracle import FLOAT_TOL
 from helpers import pmf_residual, random_feasible_quad, random_pmf
 
 
@@ -199,8 +202,8 @@ def _reduced(conc: ConcurrenceMatrix):
     return conc.entries[:-1, -1].tolist(), conc.submatrix(range(conc.n - 1))
 
 
-# a feasible fair-coin input (lower triangle x32) on which the full-system
-# simplex ends on a basis that certifies nothing, in both modes
+# a feasible fair-coin input (lower triangle x32) on which a full-tableau
+# simplex ended on a basis that certified nothing, in both modes
 WRONG_BASIS_N12 = [22, 16, 14, 16, 10, 16, 12, 10, 12, 16, 18, 12, 22, 18, 10, 22, 20, 18,
                    14, 14, 16, 16, 10, 12, 16, 20, 18, 10, 16, 14, 16, 16, 12, 22, 18, 16,
                    18, 16, 26, 10, 18, 16, 16, 14, 18, 18, 12, 14, 18, 14, 20, 12, 22, 18,
@@ -212,14 +215,28 @@ def test_reduced_system_certifies_the_full_system_wrong_basis_input():
     plan = build_plan_from_concurrence([MarginalSpec.uniform(0.0, 1.0)] * 12, conc)
     assert plan.feasible and plan.recipe.kind == "oracle_pmf"
     assert pmf_residual(plan.recipe.pmf, [0.5] * 12, conc.entries) <= 1e-12
-    probs, sub = _reduced(conc)
-    for mode in ("float", "exact"):
-        w = lp_feasible(probs, sub, mode=mode)
-        assert w.feasible and w.mode == mode
-        assert pmf_residual(w.pmf, probs, sub.entries) <= 1e-12
-        # the full system still drifts to a basis that proves nothing
-        with pytest.raises(NumericalError):
-            lp_feasible([0.5] * 12, conc, mode=mode)
+    for probs, sub in (_reduced(conc), ([0.5] * 12, conc)):
+        for mode in ("float", "exact"):
+            w = lp_feasible(probs, sub, mode=mode)
+            assert w.feasible and w.mode == mode
+            assert pmf_residual(w.pmf, probs, sub.entries) <= 1e-12
+
+
+# a feasible fair-coin input (lower triangle x64), a dyadic law of 16 draws:
+# law 24 of the offline sweep from np.random.default_rng(777) that CHANGES.md
+# describes.  A full-tableau simplex ended its reduced system on a basis that
+# certified neither verdict, so building its plan raised NumericalError
+UNCERTIFIED_BASIS_N12 = [24, 20, 36, 36, 44, 24, 24, 40, 52, 28, 24, 32, 36, 20, 48, 36, 36,
+                         32, 24, 36, 36, 32, 16, 44, 36, 32, 32, 20, 40, 24, 20, 36, 24, 32,
+                         20, 32, 32, 32, 36, 20, 24, 24, 28, 32, 24, 24, 40, 52, 28, 48, 40,
+                         28, 40, 24, 32, 20, 28, 40, 24, 36, 28, 40, 28, 20, 28, 36]
+
+
+def test_a_dyadic_n12_plan_is_certified():
+    conc = ConcurrenceMatrix.from_lower_triangle([v / 64 for v in UNCERTIFIED_BASIS_N12], 12)
+    plan = build_plan_from_concurrence([MarginalSpec.uniform(0.0, 1.0)] * 12, conc)
+    assert plan.feasible and plan.recipe.kind == "oracle_pmf"
+    assert pmf_residual(plan.recipe.pmf, [0.5] * 12, conc.entries) <= 1e-12
 
 
 @st.composite
@@ -296,3 +313,92 @@ def test_the_bland_restart_gives_the_verdicts_of_dantzig(monkeypatch, probs, low
             assert pmf_residual(got.pmf, probs, conc.entries) <= 1e-12
         else:
             assert got.certificate.startswith("no distribution satisfies the constraints")
+
+
+def _symmetrized(mu: np.ndarray) -> np.ndarray:
+    # atom 2^n - 1 - k is the complement of atom k
+    return 0.5 * (mu + mu[::-1]) / mu.sum()
+
+
+@st.composite
+def fair_coin_concurrences(draw):
+    """Concurrences of a fair-coin law at n = 5..12: clustered (half the mass
+    on 8 atoms), dyadic (16 or 32 draws), dyadic with one entry moved by
+    +-1/64 (kept in [0, 1]), or sparse complement-symmetric (1..2n atoms with
+    masses in multiples of 1/64).
+
+    Every input but the interior clustered laws is a dyadic rational, so the
+    exact mode decides the problem the float mode approximates."""
+    n = draw(st.integers(5, 12))
+    kind = draw(st.sampled_from(["clustered", "dyadic", "moved", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "clustered":
+        mu = 0.5 * rng.dirichlet(np.full(2 ** n, 0.5))
+        mu[rng.choice(2 ** n, 8, replace=False)] += 0.5 * rng.dirichlet(np.ones(8))
+    elif kind == "sparse":
+        atoms = rng.integers(1, 2 * n + 1)
+        mu = np.zeros(2 ** n)
+        np.add.at(mu, rng.integers(0, 2 ** n, atoms),
+                  1 + rng.multinomial(64 - atoms, np.ones(atoms) / atoms))
+    else:
+        draws = 32 if kind == "dyadic" and rng.random() < 0.5 else 16
+        mu = np.bincount(rng.integers(0, 2 ** n, draws), minlength=2 ** n) / draws
+    e = JointPMF(n, _symmetrized(mu)).concurrence_matrix().entries.copy()
+    if kind == "moved":
+        i, j = rng.choice(n, 2, replace=False)
+        e[i, j] = e[j, i] = min(1.0, max(0.0, e[i, j] + rng.choice([-1, 1]) / 64))
+    return ConcurrenceMatrix(e)
+
+
+@seed(13)
+@settings(max_examples=40, deadline=timedelta(seconds=10))
+@given(conc=fair_coin_concurrences())
+def test_float_and_exact_verdicts_agree_on_reduced_and_full_systems(conc):
+    verdicts = set()
+    for probs, sub in (_reduced(conc), ([0.5] * conc.n, conc)):
+        for mode in ("float", "exact"):
+            w = lp_feasible(probs, sub, mode=mode)
+            assert w.mode == mode
+            if w.feasible:
+                assert pmf_residual(w.pmf, probs, sub.entries) <= FLOAT_TOL
+            verdicts.add(w.feasible)
+    assert len(verdicts) == 1
+
+
+def _singular_solves(monkeypatch, failures):
+    """Make the first ``failures`` basis factorizations raise LinAlgError;
+    returns the list of factorizations tried."""
+    real = np.linalg.solve
+    calls = []
+
+    def solve(B, rhs):
+        calls.append(B.shape)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(B, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_a_singular_basis_in_dantzigs_pass_restarts_with_bland(monkeypatch, mode):
+    conc = ConcurrenceMatrix.filled(5, 0.5)
+    want = lp_feasible([0.5] * 5, conc, mode=mode)
+    calls = _singular_solves(monkeypatch, 1)
+    got = lp_feasible([0.5] * 5, conc, mode=mode)
+    assert len(calls) > 1
+    assert got.feasible and want.feasible and got.mode == mode
+    assert pmf_residual(got.pmf, [0.5] * 5, conc.entries) <= 1e-12
+
+
+def test_a_singular_basis_is_a_numerical_error_the_cli_reports(monkeypatch, tmp_path, capsys):
+    _singular_solves(monkeypatch, 10 ** 9)
+    conc = ConcurrenceMatrix.filled(5, 0.5)
+    with pytest.raises(NumericalError, match="singular"):
+        lp_feasible([0.5] * 5, conc, mode="float")
+    path = tmp_path / "coins.json"
+    path.write_text(json.dumps({"marginals": [{"family": "bernoulli", "p": 0.5}] * 5,
+                                "concurrence": [0.5] * 10}), encoding="utf-8")
+    assert main(["plan", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: phase-1 simplex basis is singular")
