@@ -30,11 +30,13 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import itertools
 import json
 import math
 import multiprocessing
 import signal
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -348,93 +350,92 @@ def _split_count(count: int, streams: int) -> list[int]:
 
 
 def cmd_verify(cfg: JobConfig, csv_path: str, out_path: str | None) -> int:
+    """Test ``_check_table`` in one pass over the CSV's blocks, merged by Chan's update."""
     plan = _feasible_plan(cfg)
     if plan is None:
         return 1
-    data = _load_csv(csv_path, cfg.n)
-    checks = _verification_checks(plan, data)
+    table = _check_table(plan)
+    mu, sd = np.array([moments(m) for m in plan.marginals]).T
+    count, mean, m2 = 0, [0.0] * len(table), [0.0] * len(table)
+    for x in _csv_blocks(csv_path, cfg.n):
+        d = x - mu
+        z = d / sd
+        rows = len(x)
+        for k, (kind, i, j, _, _) in enumerate(table):
+            w = _ROW_STATISTIC[kind](x, d, z, i, j)
+            bmean = float(w.mean())
+            delta = bmean - mean[k]
+            m2[k] += float(((w - bmean) ** 2).sum()) + delta ** 2 * count * rows / (count + rows)
+            mean[k] += delta * rows / (count + rows)
+        count += rows
+    if count < 2:
+        raise ConfigError(f"{csv_path}: needs at least 2 data rows")
+    checks = []
+    for (kind, i, j, target, row_sd), observed, ss in zip(table, mean, m2):
+        se = (math.sqrt(ss / (count - 1)) if row_sd is None else row_sd) / math.sqrt(count)
+        dev = observed - target
+        score = dev / se if se else 0.0 if abs(dev) <= 1e-12 else Z_HUGE
+        checks.append({"kind": kind, "coords": [i + 1] if i == j else [i + 1, j + 1],
+                       "target": target, "observed": observed, "z": score})
     max_z = max(abs(c["z"]) for c in checks)
-    ok = bool(max_z <= Z_LIMIT)
-    doc = {"count": int(data.shape[0]), "checks": checks,
-           "max_abs_z": max_z, "pass": ok}
+    doc = {"count": count, "checks": checks, "max_abs_z": max_z, "pass": max_z <= Z_LIMIT}
     with _output(out_path) as out:
         out.write(json.dumps(doc, indent=2) + "\n")
-    return 0 if ok else 1
+    return 0 if doc["pass"] else 1
 
 
-def _load_csv(path: str, n: int) -> np.ndarray:
+#: a check's statistic of each row of a block x, with d = x - mean and z = d / sd
+_ROW_STATISTIC = {
+    "mean": lambda x, d, z, i, j: x[:, i],
+    "variance": lambda x, d, z, i, j: d[:, i] * d[:, j],
+    "correlation": lambda x, d, z, i, j: z[:, i] * z[:, j],
+    "concurrence": lambda x, d, z, i, j: x[:, i] == x[:, j],
+}
+
+
+def _check_table(plan: SamplingPlan) -> list[tuple]:
+    """verify's checks in report order: (kind, i, j, target, a row's sd or None to estimate)."""
+    table = []
+    for i, (mu, sd) in enumerate(map(moments, plan.marginals)):
+        table += [("mean", i, i, mu, sd), ("variance", i, i, sd ** 2, None)]
+    for i, j in itertools.combinations(range(plan.n), 2):
+        table.append(("correlation", i, j, plan.target_corr.entry(i, j), None))
+        t = _concurrence_target(plan, i, j)
+        if t is not None:
+            table.append(("concurrence", i, j, t, math.sqrt(t * (1.0 - t))))
+    return table
+
+
+def _csv_blocks(path: str, n: int):
+    """The CSV's data rows, ``np.loadtxt`` of CHUNK_ROWS lines at a time."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # an undecodable byte reads as U+FFFD, so its line is malformed
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             header = fh.readline().strip()
             if header.split(",") != [f"x{i + 1}" for i in range(n)]:
-                raise ConfigError(
-                    f"{path}: expected header x1,...,x{n}, got {header!r}"
-                )
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                raise ConfigError(f"{path}: expected header x1,...,x{n}, got {header!r}")
+            for b, lines in enumerate(iter(lambda: list(itertools.islice(fh, CHUNK_ROWS)), [])):
+                block = _numbers(lines, n)
+                if block is None:
+                    k = next((k for k, line in enumerate(lines) if _numbers([line], n) is None), 0)
+                    raise ConfigError(f"{path}: malformed CSV: data row {b * CHUNK_ROWS + k + 1} "
+                                      f"is not {n} finite numbers: {lines[k].strip()[:80]!r}")
+                if block.size:
+                    yield block
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed CSV: {exc}") from exc
-    if data.size == 0 or data.shape[0] < 2:
-        raise ConfigError(f"{path}: needs at least 2 data rows")
-    if data.shape[1] != n:
-        raise ConfigError(f"{path}: expected {n} columns, got {data.shape[1]}")
-    return data
 
 
-def _verification_checks(plan: SamplingPlan, data: np.ndarray) -> list[dict]:
-    count = data.shape[0]
-    checks: list[dict] = []
-    mus, sds = [], []
-    for i, m in enumerate(plan.marginals):
-        mu, sd = moments(m)
-        mus.append(mu)
-        sds.append(sd)
-        x = data[:, i]
-        checks.append({
-            "kind": "mean", "coords": [i + 1], "target": mu,
-            "observed": float(x.mean()),
-            "z": _mean_z(x, mu, sd / math.sqrt(count)),
-        })
-        w = (x - mu) ** 2
-        checks.append({
-            "kind": "variance", "coords": [i + 1], "target": sd ** 2,
-            "observed": float(w.mean()),
-            "z": _mean_z(w, sd ** 2, None),
-        })
-    for i in range(plan.n):
-        for j in range(i + 1, plan.n):
-            zi = (data[:, i] - mus[i]) / sds[i]
-            zj = (data[:, j] - mus[j]) / sds[j]
-            w = zi * zj
-            checks.append({
-                "kind": "correlation", "coords": [i + 1, j + 1],
-                "target": plan.target_corr.entry(i, j),
-                "observed": float(w.mean()),
-                "z": _mean_z(w, plan.target_corr.entry(i, j), None),
-            })
-            t = _concurrence_target(plan, i, j)
-            if t is not None:
-                p_hat = float((data[:, i] == data[:, j]).mean())
-                se = math.sqrt(t * (1.0 - t) / count)
-                if se == 0.0:
-                    z = 0.0 if p_hat == t else Z_HUGE
-                else:
-                    z = (p_hat - t) / se
-                checks.append({
-                    "kind": "concurrence", "coords": [i + 1, j + 1],
-                    "target": t, "observed": p_hat, "z": z,
-                })
-    return checks
-
-
-def _mean_z(w: np.ndarray, target: float, se: float | None) -> float:
-    if se is None:
-        spread = float(w.std(ddof=1))
-        if spread == 0.0:
-            return 0.0 if abs(float(w.mean()) - target) <= 1e-12 else Z_HUGE
-        se = spread / math.sqrt(w.shape[0])
-    return float((w.mean() - target) / se)
+def _numbers(lines: list[str], n: int) -> np.ndarray | None:
+    """``np.loadtxt`` of ``lines`` if it reads no row or n columns of finite
+    numbers (a nan would hide from max |z|), else None."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a blank line is "no data"
+        try:
+            block = np.loadtxt(lines, delimiter=",", ndmin=2)
+        except ValueError:
+            return None
+    return block if block.size == 0 or block.shape[1] == n and np.isfinite(block).all() else None
 
 
 def _concurrence_target(plan: SamplingPlan, i: int, j: int) -> float | None:

@@ -55,6 +55,10 @@ class MarginalSpec:
             raise InvalidMarginalError(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
+        names = () if self.family == "empirical" else _FAMILY_FIELDS[self.family]
+        if len(self.params) != len(names):
+            raise InvalidMarginalError(
+                f"{self.family} params must be ({', '.join(names)}), got {self.params}")
         getattr(self, f"_check_{self.family}")()
 
     # -- constructors -------------------------------------------------------
@@ -125,22 +129,22 @@ class MarginalSpec:
     # -- validation ---------------------------------------------------------
 
     def _check_uniform(self) -> None:
-        a, b = self._two_params()
+        a, b = self.params
         if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
             raise InvalidMarginalError(f"uniform requires finite a < b, got ({a}, {b})")
 
     def _check_exponential(self) -> None:
-        (rate,) = self._one_param()
+        (rate,) = self.params
         if not math.isfinite(rate) or rate <= 0.0:
             raise InvalidMarginalError(f"exponential rate must be > 0, got {rate}")
 
     def _check_normal(self) -> None:
-        mean, sd = self._two_params()
+        mean, sd = self.params
         if not (math.isfinite(mean) and math.isfinite(sd)) or sd <= 0.0:
             raise InvalidMarginalError(f"normal requires finite mean and sd > 0, got ({mean}, {sd})")
 
     def _check_bernoulli(self) -> None:
-        (p,) = self._one_param()
+        (p,) = self.params
         if not math.isfinite(p) or not 0.0 <= p <= 1.0:
             raise InvalidMarginalError(f"bernoulli p must be in [0,1], got {p}")
         if p in (0.0, 1.0):
@@ -155,16 +159,6 @@ class MarginalSpec:
             raise InvalidMarginalError(
                 "empirical marginal needs >= 2 distinct values (zero variance otherwise)"
             )
-
-    def _one_param(self) -> tuple[float, ...]:
-        if len(self.params) != 1:
-            raise InvalidMarginalError(f"{self.family} takes 1 parameter, got {self.params}")
-        return self.params
-
-    def _two_params(self) -> tuple[float, ...]:
-        if len(self.params) != 2:
-            raise InvalidMarginalError(f"{self.family} takes 2 parameters, got {self.params}")
-        return self.params
 
     @functools.cached_property
     def _levels(self) -> tuple[np.ndarray, ...]:

@@ -83,7 +83,7 @@ from .errors import (
 )
 # ``quantile`` stays importable from here: bench/tracing.py wraps it by name
 from .marginals import MarginalSpec, _quantile_into, quantile  # noqa: F401
-from .oracle import FLOAT_TOL, lp_feasible
+from .oracle import FLOAT_TOL, MAX_DIMENSION, lp_feasible
 
 #: slack when checking a target correlation against its extremes
 RHO_SLACK = 1e-9
@@ -262,11 +262,11 @@ def _check_dimension(n_marginals: int, n_matrix: int) -> None:
         )
     if n_marginals < 2:
         raise DomainError("need at least 2 marginals")
-    if n_marginals > 12:
+    if n_marginals > MAX_DIMENSION:
         raise CapacityError(
-            "n > 12 is not supported: closed-form recipes cover n <= 4 and the "
-            "exact feasibility oracle scales to 4096 atoms (n = 12); split the "
-            "problem or reduce the dimension"
+            f"n > {MAX_DIMENSION} is not supported: closed-form recipes cover n <= 4 and "
+            f"the exact feasibility oracle scales to {2 ** MAX_DIMENSION} atoms "
+            f"(n = {MAX_DIMENSION}); split the problem or reduce the dimension"
         )
 
 

@@ -529,3 +529,171 @@ def test_a_failed_out_write_stops_the_workers(tmp_path, capsys, monkeypatch):
     assert runs == [3]
     assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# verify in blocks
+# ---------------------------------------------------------------------------
+
+def coins_job(count):
+    """n = 4 with concurrence checks: a Bernoulli pair and two equal uniforms."""
+    return {
+        "marginals": [{"family": "bernoulli", "p": 0.5}, {"family": "bernoulli", "p": 0.3},
+                      {"family": "uniform", "a": 0.0, "b": 1.0},
+                      {"family": "uniform", "a": 0.0, "b": 1.0}],
+        "concurrence": [0.6, 0.5, 0.5, 0.5, 0.5, 0.7],
+        "count": count,
+        "seed": 5,
+    }
+
+
+def two_pass_checks(plan, data):
+    """verify's checks over the whole array: each statistic's mean, then its spread."""
+    from fhmix import moments
+
+    mu, sd = np.array([moments(m) for m in plan.marginals]).T
+    z = (data - mu) / sd
+    stats = []  # (kind, coords, target, row statistic, its known sd or None)
+    for i in range(plan.n):
+        stats.append(("mean", [i + 1], mu[i], data[:, i], sd[i]))
+        stats.append(("variance", [i + 1], sd[i] ** 2, (data[:, i] - mu[i]) ** 2, None))
+    for i in range(plan.n):
+        for j in range(i + 1, plan.n):
+            stats.append(("correlation", [i + 1, j + 1], plan.target_corr.entry(i, j),
+                          z[:, i] * z[:, j], None))
+            t = cli._concurrence_target(plan, i, j)
+            if t is not None:
+                stats.append(("concurrence", [i + 1, j + 1], t,
+                              (data[:, i] == data[:, j]).astype(float), np.sqrt(t * (1 - t))))
+    checks = []
+    for kind, coords, target, w, row_sd in stats:
+        spread = w.std(ddof=1) if row_sd is None else row_sd
+        if spread > 0.0:
+            score = (w.mean() - target) * np.sqrt(len(w)) / spread
+        else:  # as (x1 - 1/2)^2 for a fair coin
+            score = 0.0 if abs(w.mean() - target) <= 1e-12 else cli.Z_HUGE
+        checks.append({"kind": kind, "coords": coords, "target": target,
+                       "observed": w.mean(), "z": score})
+    return checks
+
+
+@pytest.mark.parametrize("chunk_rows", [7, None], ids=["chunk-7", "chunk-default"])
+@pytest.mark.parametrize("job", [n4_job, coins_job], ids=["n4", "coins"])
+def test_verify_matches_a_two_pass_reference(tmp_path, capsys, monkeypatch, job, chunk_rows):
+    if chunk_rows is not None:
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    count = 2000 if chunk_rows else 2 * cli.CHUNK_ROWS + 17
+    path = write_config(tmp_path, job(count))
+    csv = tmp_path / "data.csv"
+    assert main(["sample", "--config", path, "--out", str(csv)]) == 0
+    status = main(["verify", "--config", path, str(csv)])
+    report = json.loads(capsys.readouterr().out)
+
+    plan = cli._plan_from_config(parse_config((tmp_path / "job.json").read_text()))
+    expected = two_pass_checks(plan, np.loadtxt(csv, delimiter=",", skiprows=1))
+    assert report["count"] == count
+    assert [(c["kind"], c["coords"], c["target"]) for c in report["checks"]] == \
+        [(c["kind"], c["coords"], c["target"]) for c in expected]
+    for got, want in zip(report["checks"], expected):
+        for key in ("observed", "z"):
+            assert abs(got[key] - want[key]) <= 1e-9 * max(1.0, abs(want[key])), (got, key)
+    assert report["max_abs_z"] == max(abs(c["z"]) for c in report["checks"])
+    assert report["pass"] is (report["max_abs_z"] <= cli.Z_LIMIT)
+    assert status == (0 if report["pass"] else 1)
+    if job is coins_job:
+        assert [c["coords"] for c in report["checks"] if c["kind"] == "concurrence"] == \
+            [[1, 2], [3, 4]]
+
+
+def test_verify_memory_does_not_grow_with_count(tmp_path):
+    rows = 2 * cli.CHUNK_ROWS
+    csvs = {}
+    for count in (10, rows, 4 * rows):
+        path = write_config(tmp_path, n4_job(count), f"job-{count}.json")
+        csvs[count] = (path, str(tmp_path / f"{count}.csv"))
+        assert main(["sample", "--config", path, "--out", csvs[count][1]]) == 0
+
+    def peak(count):
+        path, csv = csvs[count]
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--config", path, "--out", str(tmp_path / "v.json"), csv]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # one-time caches
+    assert peak(4 * rows) <= 1.25 * peak(rows)
+
+
+def _drop_last_field(line):
+    return line.rsplit(",", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "row, mutate",
+    [
+        (20001, _drop_last_field),
+        (20001, lambda line: line + ",1.0"),
+        (20001, lambda line: line.replace(",", ",a", 1)),
+        (20001, lambda line: "nan," + line.split(",")[1]),
+        (1 << 14, lambda line: line + ",1.0"),
+        ((1 << 14) + 1, lambda line: line + ",1.0"),
+    ],
+    ids=["ragged", "over-wide", "not-a-number", "nan", "last-of-a-block", "first-of-a-block"],
+)
+def test_verify_names_the_data_row_of_a_malformed_line(tmp_path, capsys, row, mutate):
+    assert cli.CHUNK_ROWS == 1 << 14  # so each bad row is in a later block
+    path = write_config(tmp_path, exp_pair(count=25_000))
+    csv = tmp_path / "data.csv"
+    assert main(["sample", "--config", path, "--out", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    lines[row] = mutate(lines[row])  # lines[0] is the header
+    csv.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", path, str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: {csv}: malformed CSV: data row {row} is not 2 finite numbers: ")
+
+
+@pytest.mark.parametrize("body", ["", "0.5,0.25\n"], ids=["header-only", "one-row"])
+def test_verify_needs_two_data_rows(tmp_path, capsys, body):
+    path = write_config(tmp_path, exp_pair())
+    csv = tmp_path / "short.csv"
+    csv.write_text("x1,x2\n" + body)
+    assert main(["verify", "--config", path, str(csv)]) == 2
+    assert capsys.readouterr().err == f"error: {csv}: needs at least 2 data rows\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_skips_blank_lines_and_blocks_of_them(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    path = write_config(tmp_path, exp_pair(count=30))
+    csv = tmp_path / "data.csv"
+    assert main(["sample", "--config", path, "--out", str(csv)]) == 0
+    assert main(["verify", "--config", path, str(csv)]) == 0
+    plain = capsys.readouterr().out
+    lines = csv.read_text().splitlines()
+    # a blank line inside a block, then a whole block of them (lines 15-21)
+    padded = lines[:4] + [""] + lines[4:14] + [""] * 7 + lines[14:] + ["", ""]
+    csv.write_text("\n".join(padded) + "\n")
+    assert main(["verify", "--config", path, str(csv)]) == 0
+    padded_report = json.loads(capsys.readouterr().out)
+    plain_report = json.loads(plain)
+    assert padded_report["count"] == plain_report["count"] == 30
+    for got, want in zip(padded_report["checks"], plain_report["checks"]):
+        assert got == {**want, "observed": pytest.approx(want["observed"], rel=1e-12),
+                       "z": pytest.approx(want["z"], rel=1e-12, abs=1e-12)}
+
+
+def test_verify_header_and_undecodable_byte_errors(tmp_path, capsys):
+    path = write_config(tmp_path, exp_pair())
+    csv = tmp_path / "bad.csv"
+    csv.write_text("x1,x3\n0.5,0.25\n0.5,0.75\n")
+    assert main(["verify", "--config", path, str(csv)]) == 2
+    assert capsys.readouterr().err == f"error: {csv}: expected header x1,...,x2, got 'x1,x3'\n"
+    csv.write_bytes(b"x1,x2\n0.5,0.25\n0.5,\xff\n")
+    assert main(["verify", "--config", path, str(csv)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {csv}: malformed CSV: data row 2 is not 2 finite numbers: ")

@@ -133,6 +133,26 @@ def test_invalid_marginals_rejected(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("uniform", (0.0,)),
+        ("uniform", (0.0, 1.0, 2.0)),
+        ("exponential", ()),
+        ("exponential", (1.0, 2.0)),
+        ("normal", (0.0,)),
+        ("normal", (0.0, 1.0, 2.0)),
+        ("bernoulli", ()),
+        ("bernoulli", (0.5, 0.5)),
+        ("empirical", (1.0,)),
+    ],
+)
+def test_wrong_parameter_count_rejected(family, params):
+    # empirical keeps its law in values/weights and takes no params
+    with pytest.raises(InvalidMarginalError, match="params must be"):
+        MarginalSpec(family, params, values=(0.0, 1.0), weights=(0.5, 0.5))
+
+
 def test_empirical_merges_ties_and_sorts():
     m = MarginalSpec.empirical([2.0, 1.0, 2.0], [0.25, 0.5, 0.25])
     assert m.values == (1.0, 2.0)
