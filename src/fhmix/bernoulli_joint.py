@@ -10,11 +10,14 @@ This module constructs exact joint pmfs on {0,1}^n realizing a requested
 concurrence matrix for n = 2, 3, 4:
 
 * n = 2 - unique solution: p00 = p11 = lambda/2, p01 = p10 = (1-lambda)/2.
-* n = 3 - a one-parameter family indexed by alpha = P(B = 111); a law exists
-  iff 1 <= l12 + l13 + l23 <= 1 + 2*min(l12, l13, l23).
 * n = 4 - reduced to a three-dimensional *asymmetric* Bernoulli system via
-  the bordering equivalence below; again a one-parameter family in
-  alpha = P(X = 111).
+  the bordering equivalence below: X_i = 1(B_i = B_4) has marginals
+  Bern(l_i4) and concurrences l_ij, and its eight atoms form a
+  one-parameter family in alpha = P(X = 111).
+* n = 3 - the same three-coordinate system with every marginal 1/2; a law
+  exists iff 1 <= l12 + l13 + l23 <= 1 + 2*min(l12, l13, l23).  This
+  triangle test also decides an asymmetric pair: Bern(p) and Bern(q) with
+  P(X = Y) = r exist together iff the bordered triple (r, p, q) passes it.
 
 The bordering equivalence: an n-dimensional Bernoulli law with marginals
 Bern(p_i) and concurrence matrix L exists iff an (n+1)-dimensional
@@ -27,10 +30,8 @@ from the closed-form reduced pmf, and every n >= 5 recipe from an LP
 witness of the reduced system (:mod:`fhmix.sampler`).
 
 For n >= 5, ``violated_principal_submatrix`` screens every 3-subset with
-the n = 3 test, as array arithmetic over all subsets at once.  The n = 4
-test adds nothing to it: each bound of ``quadrivariate_alpha_interval``
-restates a triangle inequality of the 4-subset, so its interval is empty
-only if one of the subset's triangles fails.
+the n = 3 test, as array arithmetic over all subsets at once; the n = 4
+test would add nothing to it.
 
 Every pmf here answers one linear system, ``_constraint_system``, which the
 LP of :mod:`fhmix.oracle` solves too: total mass, marginals P(B_i = 1) and
@@ -158,11 +159,8 @@ class _UnitDiagonalMatrix:
                 f"need {n * (n - 1) // 2} lower-triangle entries for n={n}, got {len(vals)}"
             )
         m = np.eye(n)
-        k = 0
-        for i in range(1, n):
-            for j in range(i):
-                m[i, j] = m[j, i] = vals[k]
-                k += 1
+        i, j = np.tril_indices(n, -1)
+        m[i, j] = m[j, i] = vals
         return cls(m)
 
     @classmethod
@@ -343,122 +341,13 @@ def bivariate_pmf(lam12: float) -> JointPMF:
 def asymmetric_pair_feasible(p: float, q: float, r: float) -> bool:
     """Does a pair (X, Y) with X ~ Bern(p), Y ~ Bern(q), P(X = Y) = r exist?
 
-    Holds iff |1 - (p + q)| <= r <= 2*min(p, q) + 1 - (p + q), with 1e-12
-    slack at both boundaries.
+    Iff its bordered triple (r, p, q) passes :func:`trivariate_feasible`:
+    |1 - (p + q)| <= r <= 2*min(p, q) + 1 - (p + q), with 1e-12 slack.
     """
     p = _check_unit_interval(p, "p")
     q = _check_unit_interval(q, "q")
     r = _check_unit_interval(r, "r")
-    lo = abs(1.0 - (p + q))
-    hi = 2.0 * min(p, q) + 1.0 - (p + q)
-    return lo - FEAS_TOL <= r <= hi + FEAS_TOL
-
-
-# ---------------------------------------------------------------------------
-# n = 3, symmetric
-# ---------------------------------------------------------------------------
-
-def trivariate_feasible(lam12: float, lam13: float, lam23: float) -> bool:
-    """Existence test for a fair-coin triple with the given concurrences.
-
-    True iff 1 <= lam12 + lam13 + lam23 <= 1 + 2*min(lam12, lam13, lam23),
-    with 1e-12 slack at both boundaries.
-    """
-    l12 = _check_unit_interval(lam12, "lambda12")
-    l13 = _check_unit_interval(lam13, "lambda13")
-    l23 = _check_unit_interval(lam23, "lambda23")
-    s = l12 + l13 + l23
-    return 1.0 - FEAS_TOL <= s <= 1.0 + 2.0 * min(l12, l13, l23) + FEAS_TOL
-
-
-def trivariate_alpha_interval(lam12: float, lam13: float, lam23: float) -> AlphaInterval:
-    """Feasible alpha = P(B = 111) range for the fair-coin triple system.
-
-    lo = max(0, (s - m - 1)/2) and hi = min(m/2, (s - 1)/2), where s is the
-    concurrence sum and m its minimum.  The triple is feasible iff lo <= hi.
-    """
-    l12 = _check_unit_interval(lam12, "lambda12")
-    l13 = _check_unit_interval(lam13, "lambda13")
-    l23 = _check_unit_interval(lam23, "lambda23")
-    s = l12 + l13 + l23
-    m = min(l12, l13, l23)
-    lo = max(0.0, 0.5 * (s - m - 1.0))
-    hi = min(0.5 * m, 0.5 * (s - 1.0))
-    return AlphaInterval(float(lo), float(hi))
-
-
-def trivariate_pmf(lam12: float, lam13: float, lam23: float, alpha: float) -> JointPMF:
-    """Fair-coin triple law with the given concurrences and P(111) = alpha.
-
-    Atom order (000, ..., 111):
-
-        p000 = (l12 + l13 + l23 - 1)/2 - alpha     p100 = (1 - l12 - l13)/2 + alpha
-        p001 = (1 - l13 - l23)/2 + alpha           p101 = l13/2 - alpha
-        p010 = (1 - l12 - l23)/2 + alpha           p110 = l12/2 - alpha
-        p011 = l23/2 - alpha                       p111 = alpha
-
-    Raises :class:`InfeasibleError` naming the first negative atom when
-    alpha lies outside :func:`trivariate_alpha_interval`.
-    """
-    l12 = _check_unit_interval(lam12, "lambda12")
-    l13 = _check_unit_interval(lam13, "lambda13")
-    l23 = _check_unit_interval(lam23, "lambda23")
-    a = float(alpha)
-    probs = np.array([
-        0.5 * (l12 + l13 + l23 - 1.0) - a,
-        0.5 * (1.0 - (l13 + l23)) + a,
-        0.5 * (1.0 - (l12 + l23)) + a,
-        0.5 * l23 - a,
-        0.5 * (1.0 - (l12 + l13)) + a,
-        0.5 * l13 - a,
-        0.5 * l12 - a,
-        a,
-    ])
-    _raise_on_negative_atom(probs, 3, (l12, l13, l23), a)
-    pmf = JointPMF(3, probs)
-    _check_constraints(pmf, (0.5,) * 3, (l12, l13, l23))
-    return pmf
-
-
-def trivariate_sample_direct(
-    lam12: float,
-    lam13: float,
-    lam23: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw a fair-coin triple with the given concurrences, no pmf table.
-
-    One fair coin B3 and one uniform U drive all three coordinates:
-    X1 indicates U in [0, l13], X2 indicates U in
-    [(1 + l13 - l23 - l12)/2, (1 + l13 + l23 - l12)/2], and B1, B2 copy
-    X1, X2 when B3 = 1 and their complements when B3 = 0.
-
-    Returns a bit triple, or a (size, 3) array when ``size`` is given.
-    """
-    l12 = _check_unit_interval(lam12, "lambda12")
-    l13 = _check_unit_interval(lam13, "lambda13")
-    l23 = _check_unit_interval(lam23, "lambda23")
-    if not trivariate_feasible(l12, l13, l23):
-        s = l12 + l13 + l23
-        raise InfeasibleError(
-            f"no fair-coin triple has concurrences ({l12}, {l13}, {l23}): "
-            f"sum {s:.6f} violates 1 <= sum <= {1.0 + 2.0 * min(l12, l13, l23):.6f}"
-        )
-    lo2 = 0.5 * (1.0 + l13 - l23 - l12)
-    hi2 = 0.5 * (1.0 + l13 + l23 - l12)
-
-    count = 1 if size is None else int(size)
-    b3 = rng.integers(0, 2, size=count)
-    u = rng.random(count)
-    x1 = (u <= l13).astype(np.int64)
-    x2 = ((u >= lo2) & (u <= hi2)).astype(np.int64)
-    b1 = b3 * x1 + (1 - b3) * (1 - x1)
-    b2 = b3 * x2 + (1 - b3) * (1 - x2)
-    out = np.stack([b1, b2, b3], axis=1)
-    if size is None:
-        return tuple(int(v) for v in out[0])
-    return out
+    return trivariate_feasible(r, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -513,22 +402,163 @@ def lift_asymmetric_draw(x, rng: np.random.Generator) -> np.ndarray:
     Draws B_{n+1} ~ Bern(1/2) independent of x and returns
     (B_1, ..., B_{n+1}) with B_i = B_{n+1} x_i + (1 - B_{n+1})(1 - x_i).
     """
-    arr = np.asarray(x, dtype=np.int64)
-    last = int(rng.integers(0, 2))
-    bits = last * arr + (1 - last) * (1 - arr)
-    return np.concatenate([bits, [last]])
+    return _coin_lift(np.asarray(x, dtype=np.int64), rng.integers(0, 2))
+
+
+def _coin_lift(x: np.ndarray, coin) -> np.ndarray:
+    """(B_1, ..., B_{n+1}) with B_i = c x_i + (1 - c)(1 - x_i) and B_{n+1} = c,
+    for 0/1 integer arrays x of shape (..., n) and fair coins c of shape (...)."""
+    c = np.asarray(coin)[..., None]
+    return np.concatenate([c * x + (1 - c) * (1 - x), c], axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# n = 4, symmetric (via the 3-dimensional asymmetric system)
+# three coordinates: n = 3 with fair marginals, and the n = 4 reduced system
 # ---------------------------------------------------------------------------
 
-def _quad_lambdas(conc: ConcurrenceMatrix) -> tuple[float, ...]:
+#: how each atom of (X1, X2, X3) moves with alpha = P(X = 111)
+_ALPHA_SIGNS = (-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0)
+
+
+def _three_coordinate_atoms(p, lams) -> list[float]:
+    """The atoms at alpha = 0 for P(X_i = 1) = p_i and concurrences ``lams``
+    = (l12, l13, l23): the table of :func:`quadrivariate_pmf`, p_i for l_i4."""
+    p1, p2, p3 = p
+    l12, l13, l23 = lams
+    return [0.5 * (l12 + l13 + l23 - 1.0), 1.0 - 0.5 * (l13 + l23 + p1 + p2),
+            1.0 - 0.5 * (l12 + l23 + p1 + p3), 0.5 * (l23 + p2 + p3 - 1.0),
+            1.0 - 0.5 * (l12 + l13 + p2 + p3), 0.5 * (l13 + p1 + p3 - 1.0),
+            0.5 * (l12 + p1 + p2 - 1.0), 0.0]
+
+
+def _three_coordinate_interval(p, lams) -> AlphaInterval:
+    """The alphas at which no atom is negative: the falling atoms (triangle
+    sums) cap alpha, and the rising ones (4-cycle sums) and 0 floor it."""
+    q = _three_coordinate_atoms(p, lams)
+    return AlphaInterval(float(max(0.0, -q[1], -q[2], -q[4])),
+                         float(min(q[0], q[3], q[5], q[6])))
+
+
+def _three_coordinate_pmf(p, lams, alpha: float, prefix: str) -> JointPMF:
+    """The law of (X1, X2, X3) with P(X = 111) = alpha; an atom below -1e-12
+    raises :class:`InfeasibleError` naming it as ``prefix`` and its bits."""
+    a = float(alpha)
+    probs = np.array([q + s * a for q, s in zip(_three_coordinate_atoms(p, lams), _ALPHA_SIGNS)])
+    if probs.min() < -FEAS_TOL:
+        k = int(probs.argmin())
+        raise InfeasibleError(
+            f"alpha={a!r} is outside the feasible interval for marginals "
+            f"{tuple(round(v, 12) for v in p)} and concurrences "
+            f"{tuple(round(v, 12) for v in lams)}: atom {prefix}{_bits_str(k, 3)} "
+            f"= {probs[k]!r} < 0"
+        )
+    pmf = JointPMF(3, probs)
+    _check_constraints(pmf, p, lams)
+    return pmf
+
+
+def _triangle_holds(a, b, c, m):
+    """1 <= a + b + c <= 1 + 2*m, with 1e-12 slack at both ends: the n = 3
+    test on concurrences a, b, c whose smallest is m (scalars or arrays)."""
+    s = a + b + c
+    return (1.0 - FEAS_TOL <= s) & (s <= 1.0 + 2.0 * m + FEAS_TOL)
+
+
+def _sum_bound_failure(l12: float, l13: float, l23: float) -> str:
+    """The n = 3 sum bound that concurrences failing the triangle test break."""
+    s = l12 + l13 + l23
+    if s < 1.0:
+        return f"lambda12 + lambda13 + lambda23 = {s:.6f} < 1"
+    return (f"lambda12 + lambda13 + lambda23 = {s:.6f} > 1 + 2*min(lambda) = "
+            f"{1.0 + 2.0 * min(l12, l13, l23):.6f}")
+
+
+def _fair_lambdas(lam12: float, lam13: float, lam23: float) -> tuple[float, float, float]:
+    return (_check_unit_interval(lam12, "lambda12"), _check_unit_interval(lam13, "lambda13"),
+            _check_unit_interval(lam23, "lambda23"))
+
+
+def trivariate_feasible(lam12: float, lam13: float, lam23: float) -> bool:
+    """Existence test for a fair-coin triple with the given concurrences.
+
+    True iff 1 <= lam12 + lam13 + lam23 <= 1 + 2*min(lam12, lam13, lam23),
+    with 1e-12 slack at both boundaries.
+    """
+    l12, l13, l23 = _fair_lambdas(lam12, lam13, lam23)
+    return _triangle_holds(l12, l13, l23, min(l12, l13, l23))
+
+
+def trivariate_alpha_interval(lam12: float, lam13: float, lam23: float) -> AlphaInterval:
+    """Feasible alpha = P(B = 111) range for the fair-coin triple system.
+
+    lo = max(0, (s - m - 1)/2) and hi = min(m/2, (s - 1)/2), where s is the
+    concurrence sum and m its minimum (:func:`quadrivariate_alpha_interval`
+    with every l_i4 = 1/2).  The triple is feasible iff lo <= hi.
+    """
+    return _three_coordinate_interval((0.5,) * 3, _fair_lambdas(lam12, lam13, lam23))
+
+
+def trivariate_pmf(lam12: float, lam13: float, lam23: float, alpha: float) -> JointPMF:
+    """Fair-coin triple law with the given concurrences and P(111) = alpha.
+
+    :func:`quadrivariate_pmf` with every l_i4 = 1/2; atoms (000, ..., 111):
+
+        p000 = (l12 + l13 + l23 - 1)/2 - alpha     p100 = (1 - l12 - l13)/2 + alpha
+        p001 = (1 - l13 - l23)/2 + alpha           p101 = l13/2 - alpha
+        p010 = (1 - l12 - l23)/2 + alpha           p110 = l12/2 - alpha
+        p011 = l23/2 - alpha                       p111 = alpha
+
+    Raises :class:`InfeasibleError` naming the first negative atom when
+    alpha lies outside :func:`trivariate_alpha_interval`.
+    """
+    return _three_coordinate_pmf((0.5,) * 3, _fair_lambdas(lam12, lam13, lam23), alpha, "p")
+
+
+def trivariate_sample_direct(
+    lam12: float,
+    lam13: float,
+    lam23: float,
+    rng: np.random.Generator,
+    size: int | None = None,
+):
+    """Draw a fair-coin triple with the given concurrences, no pmf table.
+
+    One fair coin B3 and one uniform U drive all three coordinates:
+    X1 indicates U in [0, l13], X2 indicates U in
+    [(1 + l13 - l23 - l12)/2, (1 + l13 + l23 - l12)/2], and B1, B2 copy
+    X1, X2 when B3 = 1 and their complements when B3 = 0.
+
+    Returns a bit triple, or a (size, 3) array when ``size`` is given.
+    """
+    l12, l13, l23 = _fair_lambdas(lam12, lam13, lam23)
+    if not trivariate_feasible(l12, l13, l23):
+        raise InfeasibleError(
+            f"infeasible concurrence matrix: {_sum_bound_failure(l12, l13, l23)}")
+    lo2 = 0.5 * (1.0 + l13 - l23 - l12)
+    hi2 = 0.5 * (1.0 + l13 + l23 - l12)
+
+    count = 1 if size is None else int(size)
+    b3 = rng.integers(0, 2, size=count)
+    u = rng.random(count)
+    x = np.stack([u <= l13, (u >= lo2) & (u <= hi2)], axis=1).astype(np.int64)
+    out = _coin_lift(x, b3)
+    if size is None:
+        return tuple(int(v) for v in out[0])
+    return out
+
+
+def _quad_system(conc: ConcurrenceMatrix) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Marginals (l14, l24, l34) and concurrences (l12, l13, l23) of X_i = 1(B_i = B_4)."""
     if conc.n != 4:
         raise InvalidMatrixError(f"expected a 4x4 concurrence matrix, got n={conc.n}")
-    e = conc.entries
-    # l12, l13, l14, l23, l24, l34
-    return (e[0, 1], e[0, 2], e[0, 3], e[1, 2], e[1, 3], e[2, 3])
+    e = conc.entries.tolist()
+    return (e[0][3], e[1][3], e[2][3]), (e[0][1], e[0][2], e[1][2])
+
+
+def _empty_interval_failure(interval: AlphaInterval) -> str:
+    """An empty :func:`quadrivariate_alpha_interval`, in words."""
+    return (f"alpha lower bound {interval.lo:.6f} (from 4-cycle sums) exceeds upper "
+            f"bound {interval.hi:.6f} (from the minimum triangle sum)")
 
 
 def quadrivariate_alpha_interval(conc: ConcurrenceMatrix) -> AlphaInterval:
@@ -545,29 +575,14 @@ def quadrivariate_alpha_interval(conc: ConcurrenceMatrix) -> AlphaInterval:
     Feasible iff the interval is nonempty; a fair-coin quadruple with
     concurrence matrix ``conc`` exists iff that holds.
     """
-    l12, l13, l14, l23, l24, l34 = _quad_lambdas(conc)
-    triangles = (
-        l12 + l13 + l23,  # atoms of {1,2,3}: binds q000
-        l23 + l24 + l34,  # q011
-        l13 + l14 + l34,  # q101
-        l12 + l14 + l24,  # q110
-    )
-    cycles = (
-        l13 + l23 + l14 + l24,  # matching {12, 34} removed: binds q001
-        l12 + l23 + l14 + l34,  # matching {13, 24} removed: q010
-        l12 + l13 + l24 + l34,  # matching {14, 23} removed: q100
-    )
-    hi = 0.5 * (min(triangles) - 1.0)
-    lo = max(0.0, max(0.5 * c - 1.0 for c in cycles))
-    return AlphaInterval(float(lo), float(hi))
+    return _three_coordinate_interval(*_quad_system(conc))
 
 
 def quadrivariate_pmf(conc: ConcurrenceMatrix, alpha: float) -> JointPMF:
     """Reduced pmf over (X1, X2, X3) for a 4-dimensional fair-coin target.
 
-    X_i = 1(B_i = B_4) has marginal Bern(l_{i4}) and pairwise concurrences
-    l_{ij} (i, j <= 3); those constraints plus total mass and
-    P(X = 111) = alpha pin the eight atoms uniquely:
+    X_i = 1(B_i = B_4) has marginal Bern(l_{i4}) and concurrences l_{ij};
+    with total mass and P(X = 111) = alpha these pin the eight atoms:
 
         q111 = alpha
         q110 = (l12 + l14 + l24 - 1)/2 - alpha    (and cyclic versions)
@@ -577,22 +592,7 @@ def quadrivariate_pmf(conc: ConcurrenceMatrix, alpha: float) -> JointPMF:
     Raises :class:`InfeasibleError` naming the first negative atom when
     alpha lies outside :func:`quadrivariate_alpha_interval`.
     """
-    l12, l13, l14, l23, l24, l34 = _quad_lambdas(conc)
-    a = float(alpha)
-    probs = np.array([
-        0.5 * (l12 + l13 + l23 - 1.0) - a,
-        1.0 - 0.5 * (l13 + l23 + l14 + l24) + a,
-        1.0 - 0.5 * (l12 + l23 + l14 + l34) + a,
-        0.5 * (l23 + l24 + l34 - 1.0) - a,
-        1.0 - 0.5 * (l12 + l13 + l24 + l34) + a,
-        0.5 * (l13 + l14 + l34 - 1.0) - a,
-        0.5 * (l12 + l14 + l24 - 1.0) - a,
-        a,
-    ])
-    _raise_on_negative_atom(probs, 3, (l12, l13, l14, l23, l24, l34), a, prefix="q")
-    pmf = JointPMF(3, probs)
-    _check_constraints(pmf, (l14, l24, l34), (l12, l13, l23))
-    return pmf
+    return _three_coordinate_pmf(*_quad_system(conc), alpha, "q")
 
 
 def quadrivariate_sample(
@@ -611,17 +611,12 @@ def quadrivariate_sample(
     interval = quadrivariate_alpha_interval(conc)
     if not interval.feasible:
         raise InfeasibleError(
-            f"no fair-coin quadruple has this concurrence matrix: alpha interval "
-            f"[{interval.lo:.6f}, {interval.hi:.6f}] is empty"
-        )
+            f"infeasible concurrence matrix: {_empty_interval_failure(interval)}")
     a = interval.midpoint if alpha is None else float(alpha)
     q = quadrivariate_pmf(conc, a)
 
     count = 1 if size is None else int(size)
-    x = q.sample(rng, count)
-    b4 = rng.integers(0, 2, size=count)
-    b123 = b4[:, None] * x + (1 - b4[:, None]) * (1 - x)
-    out = np.concatenate([b123, b4[:, None]], axis=1)
+    out = _coin_lift(q.sample(rng, count), rng.integers(0, 2, size=count))
     if size is None:
         return tuple(int(v) for v in out[0])
     return out
@@ -635,19 +630,9 @@ def quadrivariate_lifted_pmf(conc: ConcurrenceMatrix, alpha: float) -> JointPMF:
     sampling path is wanted for n = 4.
     """
     pmf = lift(quadrivariate_pmf(conc, alpha))
-    _check_constraints(pmf, (0.5,) * 4, _quad_lambdas(conc))
+    (l14, l24, l34), (l12, l13, l23) = _quad_system(conc)
+    _check_constraints(pmf, (0.5,) * 4, (l12, l13, l14, l23, l24, l34))
     return pmf
-
-
-def _raise_on_negative_atom(probs: np.ndarray, n: int, lams, alpha: float,
-                            prefix: str = "p") -> None:
-    if probs.min() < -FEAS_TOL:
-        k = int(probs.argmin())
-        raise InfeasibleError(
-            f"alpha={alpha!r} is outside the feasible interval for concurrences "
-            f"{tuple(round(v, 12) for v in lams)}: atom {prefix}{_bits_str(k, n)} "
-            f"= {probs[k]!r} < 0"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +645,9 @@ def violated_principal_submatrix(conc: ConcurrenceMatrix) -> tuple[int, ...] | N
     The n = 3 characterization is a necessary condition in any dimension, so
     a hit proves the full matrix infeasible.  Returns 0-based indices, or
     None when every subset passes.  Every 3-subset is tested at once, in
-    ``itertools.combinations`` order, with the float expressions of
-    :func:`trivariate_feasible` in the same order, so each verdict is its
-    verdict bit for bit.
+    ``itertools.combinations`` order, by the expression
+    :func:`trivariate_feasible` evaluates, so each verdict is its verdict
+    bit for bit.
 
     4-subsets need no pass of their own.  With lo = 0 the interval of
     :func:`quadrivariate_alpha_interval` is empty iff a triangle sum s_T < 1,
@@ -677,9 +662,7 @@ def violated_principal_submatrix(conc: ConcurrenceMatrix) -> tuple[int, ...] | N
     e = conc.entries
     i, j, k = _subsets(conc.n, 3).T
     l12, l13, l23 = e[i, j], e[i, k], e[j, k]
-    s = l12 + l13 + l23
-    ok = (1.0 - FEAS_TOL <= s) & (s <= 1.0 + 2.0 * np.minimum(np.minimum(l12, l13), l23)
-                                  + FEAS_TOL)
+    ok = _triangle_holds(l12, l13, l23, np.minimum(np.minimum(l12, l13), l23))
     if not ok.all():
         return tuple(int(v) for v in _subsets(conc.n, 3)[ok.argmin()])
     return None

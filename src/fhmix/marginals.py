@@ -96,35 +96,19 @@ class MarginalSpec:
         so the quantile is the right-continuous step inverse.
         """
         vals = [float(v) for v in values]
-        if not vals:
-            raise InvalidMarginalError("empirical marginal needs at least one value")
-        if weights is None:
-            wts = [1.0 / len(vals)] * len(vals)
-        else:
-            wts = [float(w) for w in weights]
-        if len(wts) != len(vals):
-            raise InvalidMarginalError(
-                f"{len(vals)} values but {len(wts)} weights"
-            )
-        merged: dict[float, float] = {}
-        for v, w in zip(vals, wts):
-            if not math.isfinite(v):
-                raise InvalidMarginalError(f"non-finite empirical value {v!r}")
-            if not math.isfinite(w) or w < 0.0:
-                raise InvalidMarginalError(f"invalid weight {w!r}")
-            merged[v] = merged.get(v, 0.0) + w
-        total = math.fsum(merged.values())
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise InvalidMarginalError(
-                f"weights sum to {total!r}, expected 1 within {_WEIGHT_SUM_TOL}"
-            )
-        pairs = sorted((v, w / total) for v, w in merged.items() if w > 0.0)
-        return cls(
-            "empirical",
-            (),
-            values=tuple(v for v, _ in pairs),
-            weights=tuple(w for _, w in pairs),
-        )
+        wts = [1.0 / len(vals) for _ in vals] if weights is None else [float(w) for w in weights]
+        if len(wts) == len(vals) and all(w >= 0.0 for w in wts) and all(map(math.isfinite, vals)):
+            # a bad weight could hide in a tie's sum, and a bad value behind a
+            # zero weight, so such input reaches the constructor's checks as given
+            merged: dict[float, float] = {}
+            for v, w in zip(vals, wts):
+                merged[v] = merged.get(v, 0.0) + w
+            vals = sorted(v for v, w in merged.items() if w != 0.0)
+            wts = [merged[v] for v in vals]
+        # the checks see the weights as given; the spec keeps them normalized
+        cls("empirical", (), values=tuple(vals), weights=tuple(wts))
+        total = math.fsum(wts)
+        return cls("empirical", (), values=tuple(vals), weights=tuple(w / total for w in wts))
 
     # -- validation ---------------------------------------------------------
 
@@ -153,11 +137,27 @@ class MarginalSpec:
             )
 
     def _check_empirical(self) -> None:
-        if self.values is None or self.weights is None:
+        vals, wts = self.values, self.weights
+        if vals is None or wts is None:
             raise InvalidMarginalError("empirical marginal missing values/weights")
-        if len(self.values) < 2:
+        if len(wts) != len(vals):
+            raise InvalidMarginalError(f"{len(vals)} values but {len(wts)} weights")
+        bad = [w for w in wts if not (math.isfinite(w) and w > 0.0)]
+        if bad:
+            raise InvalidMarginalError(f"empirical weights must be positive, got {bad[0]!r}")
+        bad = [v for v in vals if not math.isfinite(v)]
+        if bad:
+            raise InvalidMarginalError(f"non-finite empirical value {bad[0]!r}")
+        if any(b <= a for a, b in zip(vals, vals[1:])):
+            raise InvalidMarginalError("empirical values must be strictly increasing")
+        if len(vals) < 2:
             raise InvalidMarginalError(
                 "empirical marginal needs >= 2 distinct values (zero variance otherwise)"
+            )
+        total = math.fsum(wts)
+        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+            raise InvalidMarginalError(
+                f"weights sum to {total!r}, expected 1 within {_WEIGHT_SUM_TOL}"
             )
 
     @functools.cached_property

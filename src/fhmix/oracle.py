@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bernoulli_joint import (ConcurrenceMatrix, JointPMF, _check_constraints,
-                              _constraint_system, atom_bits)
+                              _constraint_system, atom_bits, atom_index)
 from .errors import CapacityError, DomainError, InvalidMatrixError, NumericalError
 
 MAX_DIMENSION = 12
@@ -133,14 +133,12 @@ def pushforward(pmf: JointPMF, atom_map) -> JointPMF:
     m = len(images[0])
     if any(len(img) != m for img in images):
         raise DomainError("atom map must produce bit tuples of one common length")
+    bad = [b for img in images for b in img if b not in (0, 1)]
+    if bad:
+        raise DomainError(f"atom map produced non-bit value {bad[0]!r}")
     out = np.zeros(2 ** m)
     for k, img in enumerate(images):
-        idx = 0
-        for b in img:
-            if b not in (0, 1):
-                raise DomainError(f"atom map produced non-bit value {b!r}")
-            idx = (idx << 1) | b
-        out[idx] += pmf.probs[k]
+        out[atom_index(img)] += pmf.probs[k]
     return JointPMF(m, out)
 
 

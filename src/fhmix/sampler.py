@@ -288,19 +288,14 @@ def _recipe(lam: ConvexityMatrix, alpha: float | None) -> BernoulliRecipe | str:
     if n == 3:
         l12, l13, l23 = e[0, 1], e[0, 2], e[1, 2]
         if not bj.trivariate_feasible(l12, l13, l23):
-            s = l12 + l13 + l23
-            if s < 1.0:
-                return f"lambda12 + lambda13 + lambda23 = {s:.6f} < 1"
-            return (f"lambda12 + lambda13 + lambda23 = {s:.6f} > 1 + 2*min(lambda) = "
-                    f"{1.0 + 2.0 * min(l12, l13, l23):.6f}")
+            return bj._sum_bound_failure(l12, l13, l23)
         interval = bj.trivariate_alpha_interval(l12, l13, l23)
         a = _alpha(alpha, interval)
         return BernoulliRecipe("trivariate", bj.trivariate_pmf(l12, l13, l23, a), a, interval)
     if n == 4:
         interval = bj.quadrivariate_alpha_interval(lam)
         if not interval.feasible:
-            return (f"alpha lower bound {interval.lo:.6f} (from 4-cycle sums) exceeds upper "
-                    f"bound {interval.hi:.6f} (from the minimum triangle sum)")
+            return bj._empty_interval_failure(interval)
         a = _alpha(alpha, interval)
         return BernoulliRecipe("quadrivariate", bj.quadrivariate_lifted_pmf(lam, a), a, interval)
     bad = bj.violated_principal_submatrix(lam)

@@ -4,7 +4,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fhmix import (
@@ -14,11 +14,13 @@ from fhmix import (
     InvalidDistributionError,
     InvalidMatrixError,
     JointPMF,
+    MarginalSpec,
     NumericalError,
     asymmetric_pair_feasible,
     atom_bits,
     atom_index,
     bivariate_pmf,
+    build_plan_from_concurrence,
     lift_asymmetric_draw,
     lp_feasible,
     pushforward,
@@ -231,6 +233,27 @@ def test_trivariate_matches_linear_system_solve():
             assert np.max(np.abs(got - expected)) <= 1e-12
 
 
+unit_values = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+
+
+@seed(3)
+@settings(max_examples=300, deadline=None)
+@given(lams=st.tuples(unit_values, unit_values, unit_values))
+def test_trivariate_closed_form_is_the_papers(lams):
+    """The n = 3 interval and table are the paper's, for feasible and
+    infeasible triples alike, though the code computes them as the
+    three-coordinate system with fair marginals."""
+    l12, l13, l23 = lams
+    s, m = l12 + l13 + l23, min(lams)
+    iv = trivariate_alpha_interval(l12, l13, l23)
+    assert abs(iv.lo - max(0.0, (s - m - 1.0) / 2.0)) <= 1e-15
+    assert abs(iv.hi - min(m / 2.0, (s - 1.0) / 2.0)) <= 1e-15
+    if iv.lo <= iv.hi:
+        for alpha in (iv.lo, iv.midpoint, iv.hi):
+            expected = solve_three_coordinate_system((0.5,) * 3, lams, alpha)
+            assert np.max(np.abs(trivariate_pmf(l12, l13, l23, alpha).probs - expected)) <= 1e-12
+
+
 def test_trivariate_grid_agrees_with_lp():
     grid = np.linspace(0.0, 1.0, 5)
     for l12, l13, l23 in itertools.product(grid, repeat=3):
@@ -292,6 +315,24 @@ def test_direct_sampler_rejects_infeasible():
     rng = np.random.default_rng(1)
     with pytest.raises(InfeasibleError, match="0.9"):
         trivariate_sample_direct(0.3, 0.3, 0.3, rng)
+
+
+@pytest.mark.parametrize(
+    "lower",
+    [[0.3, 0.3, 0.3], [0.1, 0.9, 0.9], [0.0] * 6, [0.3, 0.3, 0.3, 0.5, 0.5, 0.5]],
+)
+def test_direct_samplers_give_the_plans_diagnostics(lower):
+    n = 3 if len(lower) == 3 else 4
+    conc = ConcurrenceMatrix.from_lower_triangle(lower, n)
+    plan = build_plan_from_concurrence([MarginalSpec.bernoulli(0.5)] * n, conc)
+    assert plan.recipe is None
+    rng = np.random.default_rng(6)
+    with pytest.raises(InfeasibleError) as err:
+        if n == 3:
+            trivariate_sample_direct(*lower, rng)
+        else:
+            quadrivariate_sample(conc, rng)
+    assert plan.diagnostics in str(err.value)
 
 
 def test_direct_sampler_induced_law_is_exact():

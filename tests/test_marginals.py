@@ -134,6 +134,34 @@ def test_invalid_marginals_rejected(make):
 
 
 @pytest.mark.parametrize(
+    "values,weights",
+    [
+        ((1.0, 0.0), (0.9, 0.9)),             # decreasing values
+        ((0.0, 1.0, 2.0), (0.5, 0.5)),        # fewer weights than values
+        ((0.0, 1.0), (1.5, -0.5)),            # a negative weight
+        ((0.0, 0.0, 1.0), (0.25, 0.25, 0.5)),  # a tie left unmerged
+        ((0.0, math.inf), (0.5, 0.5)),
+        ((0.0, 1.0), (0.5, 0.6)),
+    ],
+)
+def test_the_constructor_checks_an_empirical_law(values, weights):
+    with pytest.raises(InvalidMarginalError):
+        MarginalSpec("empirical", (), values=values, weights=weights)
+
+
+@pytest.mark.parametrize(
+    "values,weights",
+    [
+        ([1.0, 1.0, 2.0], [-0.1, 0.6, 0.5]),      # merging ties would hide it
+        ([math.nan, 0.0, 1.0], [0.0, 0.5, 0.5]),  # dropping zeros would hide it
+    ],
+)
+def test_bad_input_does_not_hide_in_ties_or_zero_weights(values, weights):
+    with pytest.raises(InvalidMarginalError):
+        MarginalSpec.empirical(values, weights)
+
+
+@pytest.mark.parametrize(
     "family, params",
     [
         ("uniform", (0.0,)),
