@@ -38,9 +38,9 @@ LP of :mod:`fhmix.oracle` solves too: total mass, marginals P(B_i = 1) and
 concurrences P(B_i = B_j).  A pmf sums its rows once; the accessors and
 ``_check_constraints``, which re-verifies every constructed pmf, read them.
 
-All constructions are linear in the inputs, so constraint residuals of the
-produced pmfs are at rounding level; feasibility comparisons use an absolute
-slack of 1e-12.
+One rule decides feasibility, 1 - 1e-12 <= a + b + c <= 1 + 2*min + 1e-12
+(``_triangle_holds``), on n = 3's triangle, n = 4's four and the screen's;
+an alpha with no atom below -1e-12 builds a pmf with rounding-level residuals.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ class JointPMF:
             )
         if not np.all(np.isfinite(arr)):
             raise InvalidDistributionError("pmf has non-finite entries")
-        low = arr.min()
+        low = float(arr.min())
         if low < -FEAS_TOL:
             k = int(arr.argmin())
             raise InvalidDistributionError(
@@ -288,8 +288,8 @@ def _check_constraints(pmf: JointPMF, marginal_probs, concurrences,
     if miss[k] > tol:
         name = _constraint_system(pmf.n)[1][k]
         raise NumericalError(
-            f"constructed pmf misses its {name} row: {pmf._row_values[k]!r}, "
-            f"wanted {target[k]!r} (off by {miss[k]:.3g} > {tol:g})"
+            f"constructed pmf misses its {name} row: {float(pmf._row_values[k])!r}, "
+            f"wanted {float(target[k])!r} (off by {miss[k]:.3g} > {tol:g})"
         )
     return float(miss[k])
 
@@ -300,14 +300,12 @@ def _check_constraints(pmf: JointPMF, marginal_probs, concurrences,
 
 @dataclass(frozen=True)
 class AlphaInterval:
-    """Feasible range of the free atom probability alpha = P(all ones)."""
+    """Range of alpha = P(all ones); ``feasible`` is the triangle verdict of its
+    system (module docstring), which admits lo - hi up to about 5e-13."""
 
     lo: float
     hi: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.lo <= self.hi + FEAS_TOL
+    feasible: bool
 
     @property
     def midpoint(self) -> float:
@@ -318,7 +316,9 @@ class AlphaInterval:
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, alpha: float) -> bool:
-        return self.lo - FEAS_TOL <= alpha <= self.hi + FEAS_TOL
+        """True iff no atom at ``alpha`` is below -1e-12: alpha - lo and hi - alpha
+        are the binding atoms, rounded as :func:`_three_coordinate_pmf` rounds them."""
+        return alpha - self.lo >= -FEAS_TOL and self.hi - alpha >= -FEAS_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def asymmetric_pair_feasible(p: float, q: float, r: float) -> bool:
     """Does a pair (X, Y) with X ~ Bern(p), Y ~ Bern(q), P(X = Y) = r exist?
 
     Iff its bordered triple (r, p, q) passes :func:`trivariate_feasible`:
-    |1 - (p + q)| <= r <= 2*min(p, q) + 1 - (p + q), with 1e-12 slack.
+    |1 - (p + q)| <= r <= 2*min(p, q) + 1 - (p + q).
     """
     p = _check_unit_interval(p, "p")
     q = _check_unit_interval(q, "q")
@@ -431,46 +431,51 @@ def _three_coordinate_atoms(p, lams) -> list[float]:
             0.5 * (l12 + p1 + p2 - 1.0), 0.0]
 
 
-def _three_coordinate_interval(p, lams) -> AlphaInterval:
-    """The alphas at which no atom is negative: the falling atoms (triangle
-    sums) cap alpha, and the rising ones (4-cycle sums) and 0 floor it."""
+def _three_coordinate_interval(p, lams, feasible: bool) -> AlphaInterval:
+    """The alphas at which no atom is negative, and the caller's verdict:
+    falling atoms (triangle sums) cap alpha, rising ones (4-cycle sums) and 0 floor it."""
     q = _three_coordinate_atoms(p, lams)
     return AlphaInterval(float(max(0.0, -q[1], -q[2], -q[4])),
-                         float(min(q[0], q[3], q[5], q[6])))
+                         float(min(q[0], q[3], q[5], q[6])), feasible)
 
 
 def _three_coordinate_pmf(p, lams, alpha: float, prefix: str) -> JointPMF:
-    """The law of (X1, X2, X3) with P(X = 111) = alpha; an atom below -1e-12
-    raises :class:`InfeasibleError` naming it as ``prefix`` and its bits."""
+    """The law of (X1, X2, X3) with P(X = 111) = alpha, atoms in [-1e-12, 0) clipped
+    and rescaled; a lower atom or a NaN raises :class:`InfeasibleError` naming it."""
     a = float(alpha)
     probs = np.array([q + s * a for q, s in zip(_three_coordinate_atoms(p, lams), _ALPHA_SIGNS)])
-    if probs.min() < -FEAS_TOL:
+    low = float(probs.min())
+    if not low >= -FEAS_TOL:
         k = int(probs.argmin())
         raise InfeasibleError(
             f"alpha={a!r} is outside the feasible interval for marginals "
             f"{tuple(round(v, 12) for v in p)} and concurrences "
             f"{tuple(round(v, 12) for v in lams)}: atom {prefix}{_bits_str(k, 3)} "
-            f"= {probs[k]!r} < 0"
+            f"= {float(probs[k])!r} < 0"
         )
+    if low < 0.0:
+        probs = np.maximum(probs, 0.0)
+        probs /= probs.sum()
     pmf = JointPMF(3, probs)
     _check_constraints(pmf, p, lams)
     return pmf
 
 
 def _triangle_holds(a, b, c, m):
-    """1 <= a + b + c <= 1 + 2*m, with 1e-12 slack at both ends: the n = 3
-    test on concurrences a, b, c whose smallest is m (scalars or arrays)."""
+    """1 - 1e-12 <= a + b + c <= 1 + 2*m + 1e-12: the n = 3 test on
+    concurrences a, b, c whose smallest is m (scalars or arrays)."""
     s = a + b + c
     return (1.0 - FEAS_TOL <= s) & (s <= 1.0 + 2.0 * m + FEAS_TOL)
 
 
 def _sum_bound_failure(l12: float, l13: float, l23: float) -> str:
-    """The n = 3 sum bound that concurrences failing the triangle test break."""
+    """The n = 3 sum bound that concurrences failing the triangle test break, and by how much."""
     s = l12 + l13 + l23
     if s < 1.0:
-        return f"lambda12 + lambda13 + lambda23 = {s:.6f} < 1"
+        return f"lambda12 + lambda13 + lambda23 = {s:.6f} < 1 (short by {1.0 - s:.3g})"
+    cap = 1.0 + 2.0 * min(l12, l13, l23)
     return (f"lambda12 + lambda13 + lambda23 = {s:.6f} > 1 + 2*min(lambda) = "
-            f"{1.0 + 2.0 * min(l12, l13, l23):.6f}")
+            f"{cap:.6f} (over by {s - cap:.3g})")
 
 
 def _fair_lambdas(lam12: float, lam13: float, lam23: float) -> tuple[float, float, float]:
@@ -479,13 +484,9 @@ def _fair_lambdas(lam12: float, lam13: float, lam23: float) -> tuple[float, floa
 
 
 def trivariate_feasible(lam12: float, lam13: float, lam23: float) -> bool:
-    """Existence test for a fair-coin triple with the given concurrences.
-
-    True iff 1 <= lam12 + lam13 + lam23 <= 1 + 2*min(lam12, lam13, lam23),
-    with 1e-12 slack at both boundaries.
-    """
-    l12, l13, l23 = _fair_lambdas(lam12, lam13, lam23)
-    return _triangle_holds(l12, l13, l23, min(l12, l13, l23))
+    """Existence test for a fair-coin triple with the given concurrences:
+    1 <= lam12 + lam13 + lam23 <= 1 + 2*min(lam12, lam13, lam23)."""
+    return trivariate_alpha_interval(lam12, lam13, lam23).feasible
 
 
 def trivariate_alpha_interval(lam12: float, lam13: float, lam23: float) -> AlphaInterval:
@@ -493,9 +494,10 @@ def trivariate_alpha_interval(lam12: float, lam13: float, lam23: float) -> Alpha
 
     lo = max(0, (s - m - 1)/2) and hi = min(m/2, (s - 1)/2), where s is the
     concurrence sum and m its minimum (:func:`quadrivariate_alpha_interval`
-    with every l_i4 = 1/2).  The triple is feasible iff lo <= hi.
+    with every l_i4 = 1/2).  ``feasible`` is the triangle test of the triple.
     """
-    return _three_coordinate_interval((0.5,) * 3, _fair_lambdas(lam12, lam13, lam23))
+    lams = _fair_lambdas(lam12, lam13, lam23)
+    return _three_coordinate_interval((0.5,) * 3, lams, _triangle_holds(*lams, min(lams)))
 
 
 def trivariate_pmf(lam12: float, lam13: float, lam23: float, alpha: float) -> JointPMF:
@@ -558,7 +560,8 @@ def _quad_system(conc: ConcurrenceMatrix) -> tuple[tuple[float, ...], tuple[floa
 def _empty_interval_failure(interval: AlphaInterval) -> str:
     """An empty :func:`quadrivariate_alpha_interval`, in words."""
     return (f"alpha lower bound {interval.lo:.6f} (from 4-cycle sums) exceeds upper "
-            f"bound {interval.hi:.6f} (from the minimum triangle sum)")
+            f"bound {interval.hi:.6f} (from the minimum triangle sum) "
+            f"(over by {interval.lo - interval.hi:.3g})")
 
 
 def quadrivariate_alpha_interval(conc: ConcurrenceMatrix) -> AlphaInterval:
@@ -572,10 +575,14 @@ def quadrivariate_alpha_interval(conc: ConcurrenceMatrix) -> AlphaInterval:
                                left after deleting a perfect matching)
         alpha >= 0
 
-    Feasible iff the interval is nonempty; a fair-coin quadruple with
-    concurrence matrix ``conc`` exists iff that holds.
+    It is nonempty iff the four triangles pass the n = 3 test
+    (:func:`violated_principal_submatrix`), and ``feasible`` is that test.
     """
-    return _three_coordinate_interval(*_quad_system(conc))
+    (p1, p2, p3), (l12, l13, l23) = p, lams = _quad_system(conc)
+    # triangles {1,2,3}, {1,2,4}, {1,3,4}, {2,3,4}, summed as the screen sums them
+    triangles = ((l12, l13, l23), (l12, p1, p2), (l13, p1, p3), (l23, p2, p3))
+    return _three_coordinate_interval(
+        p, lams, all(_triangle_holds(a, b, c, min(a, b, c)) for a, b, c in triangles))
 
 
 def quadrivariate_pmf(conc: ConcurrenceMatrix, alpha: float) -> JointPMF:
@@ -657,7 +664,7 @@ def violated_principal_submatrix(conc: ConcurrenceMatrix) -> tuple[int, ...] | N
     cycle leaves out and w the vertex outside T: the upper inequality of
     triangle {x, y, w} at its edge xy.  The 12 (cycle, triangle) pairs are
     the 12 (triangle, edge) pairs, so the n = 4 test is the n = 3 test of
-    the four triangles, and with twice its slack.
+    the four triangles.
     """
     e = conc.entries
     i, j, k = _subsets(conc.n, 3).T

@@ -345,8 +345,9 @@ def _write_on_pool(out, blocks, workers: int) -> None:
 
 
 def _split_count(count: int, streams: int) -> list[int]:
+    """Rows per stream, for the first min(count, streams): the rest get none."""
     base, extra = divmod(count, streams)
-    return [base + (1 if k < extra else 0) for k in range(streams)]
+    return [base + (1 if k < extra else 0) for k in range(min(count, streams))]
 
 
 def cmd_verify(cfg: JobConfig, csv_path: str, out_path: str | None) -> int:

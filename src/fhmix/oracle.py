@@ -22,7 +22,11 @@ singular basis) it restarts with Bland's rule and its lowest-index ratio
 test, which terminates.  The mode decides how the answer is trusted:
 
 * float   - the phase-1 optimum is compared against 1e-9 and any witness is
-            re-verified against the constraints at that tolerance.
+            re-verified against the constraints at that tolerance.  That
+            is looser than 1e-12 on a triangle sum: on an n = 5 triangle
+            face it is feasible at shortfalls 1.5e-12 and 1e-10, infeasible
+            at 2e-9.  A plan at n >= 5 thus follows the screen on triangle
+            faces, and this 1e-9 on faces that no triple sees.
 * exact   - the final basis is re-solved in integer arithmetic from the
             exact inputs (Applegate, Cook, Dash & Espinoza 2007, "Exact
             solutions to linear programming problems"): either its basic

@@ -287,16 +287,16 @@ def _recipe(lam: ConvexityMatrix, alpha: float | None) -> BernoulliRecipe | str:
         return BernoulliRecipe("bivariate", bj.bivariate_pmf(e[0, 1]))
     if n == 3:
         l12, l13, l23 = e[0, 1], e[0, 2], e[1, 2]
-        if not bj.trivariate_feasible(l12, l13, l23):
-            return bj._sum_bound_failure(l12, l13, l23)
         interval = bj.trivariate_alpha_interval(l12, l13, l23)
-        a = _alpha(alpha, interval)
+        if not interval.feasible:
+            return bj._sum_bound_failure(l12, l13, l23)
+        a = interval.midpoint if alpha is None else float(alpha)
         return BernoulliRecipe("trivariate", bj.trivariate_pmf(l12, l13, l23, a), a, interval)
     if n == 4:
         interval = bj.quadrivariate_alpha_interval(lam)
         if not interval.feasible:
             return bj._empty_interval_failure(interval)
-        a = _alpha(alpha, interval)
+        a = interval.midpoint if alpha is None else float(alpha)
         return BernoulliRecipe("quadrivariate", bj.quadrivariate_lifted_pmf(lam, a), a, interval)
     bad = bj.violated_principal_submatrix(lam)
     if bad is not None:
@@ -315,19 +315,6 @@ def _recipe(lam: ConvexityMatrix, alpha: float | None) -> BernoulliRecipe | str:
     pmf = bj.lift(witness.pmf)
     bj._check_constraints(pmf, [0.5] * n, e[np.triu_indices(n, 1)], FLOAT_TOL)
     return BernoulliRecipe("oracle_pmf", pmf)
-
-
-def _alpha(alpha: float | None, interval: AlphaInterval) -> float:
-    """The interval's midpoint, or the caller's alpha if it lies inside."""
-    if alpha is None:
-        return interval.midpoint
-    a = float(alpha)
-    if not interval.contains(a):
-        raise InfeasibleError(
-            f"alpha={a} is outside the feasible interval "
-            f"[{interval.lo:.9f}, {interval.hi:.9f}]"
-        )
-    return a
 
 
 # ---------------------------------------------------------------------------

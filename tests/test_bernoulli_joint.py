@@ -1,6 +1,7 @@
 import itertools
 import math
 from datetime import timedelta
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from fhmix import (
     violated_principal_submatrix,
 )
 from fhmix import bernoulli_joint
-from fhmix.bernoulli_joint import _bit_table, lift
+from fhmix.bernoulli_joint import FEAS_TOL, _bit_table, lift
 from helpers import (
     FixedCoin,
     asym_pair_pmf,
@@ -83,6 +84,19 @@ def test_joint_pmf_validation():
     # tiny negatives are clamped
     pmf = JointPMF(1, np.array([1.0 + 1e-13, -1e-13]))
     assert pmf.probs[1] == 0.0
+
+
+@pytest.mark.parametrize("build,error,text", [
+    (lambda: trivariate_pmf(0.5, 0.5, 0.5, 0.5), InfeasibleError, "atom p000 = -0.25 < 0"),
+    (lambda: JointPMF(2, np.array([0.75, 0.25, 0.25, -0.25])), InvalidDistributionError,
+     "atom p11 = -0.25 is negative beyond tolerance"),
+    (lambda: bernoulli_joint._check_constraints(JointPMF(1, np.array([0.5, 0.5])), [0.25], []),
+     NumericalError, "marginal 1 row: 0.5, wanted 0.25 (off by 0.25"),
+], ids=["alpha-atom", "pmf-atom", "constraint-row"])
+def test_error_texts_print_plain_floats(build, error, text):
+    with pytest.raises(error) as info:
+        build()
+    assert text in str(info.value) and "np.float64" not in str(info.value)
 
 
 def test_accessors_reject_a_coordinate_outside_the_pmf():
@@ -659,6 +673,70 @@ def screen_inputs(draw):
 @given(conc=screen_inputs())
 def test_screen_equals_the_closed_form_tests_in_combinations_order(conc):
     assert violated_principal_submatrix(conc) == _screen_by_loop(conc)
+
+
+def _exact_triangle_slack(e: np.ndarray) -> Fraction:
+    """Smallest slack of 1 <= a + b + c <= 1 + 2*min over the triangles of
+    ``e``, in exact arithmetic on its float entries."""
+    slacks = []
+    for i, j, k in itertools.combinations(range(len(e)), 3):
+        t = [Fraction(float(e[i, j])), Fraction(float(e[i, k])), Fraction(float(e[j, k]))]
+        slacks += [sum(t) - 1, 1 + 2 * min(t) - sum(t)]
+    return min(slacks)
+
+
+def test_one_verdict_at_the_faces_and_every_admitted_alpha_builds():
+    # concurrences of sparse fair-coin laws, on faces of the feasible set,
+    # moved by multiples of 2.5e-13 across them: about half the entries at
+    # n = 3 and 4, one triangle's entries at n = 5 (screen and LP)
+    rng = np.random.default_rng(16)
+    uniform = MarginalSpec.uniform(0.0, 1.0)
+    seen = {True: 0, False: 0}
+    for n in [3] * 400 + [4] * 400 + [5] * 60:
+        probs = np.zeros(2 ** n)
+        np.add.at(probs, rng.integers(0, 2 ** n, rng.integers(1, 2 * n + 1)), 1.0)
+        e = JointPMF(n, (probs + probs[::-1]) / (2 * probs.sum())).concurrence_matrix().entries
+        if n == 5:
+            i, j, k = sorted(rng.choice(5, 3, replace=False))
+            move = np.zeros((n, n))
+            move[[i, i, j], [j, k, k]] = rng.choice([-8, -6, -4, -3, 3, 4, 6, 8], 3)
+        else:
+            move = rng.integers(-8, 9, (n, n)) * (rng.random((n, n)) < 0.5)
+        e = np.clip(np.triu(e + 2.5e-13 * move, 1), 0.0, 1.0)
+        conc = ConcurrenceMatrix(e + e.T + np.eye(n))
+
+        plan = build_plan_from_concurrence([uniform] * n, conc)
+        verdicts = {plan.feasible, violated_principal_submatrix(conc) is None}
+        if n == 3:
+            lams = conc.entry(0, 1), conc.entry(0, 2), conc.entry(1, 2)
+            interval = trivariate_alpha_interval(*lams)
+            verdicts |= {interval.feasible, trivariate_feasible(*lams)}
+        if n == 4:
+            interval = quadrivariate_alpha_interval(conc)
+            try:
+                quadrivariate_sample(conc, np.random.default_rng(0))
+                verdicts |= {interval.feasible, True}
+            except InfeasibleError:
+                verdicts |= {interval.feasible, False}
+        assert len(verdicts) == 1, conc.entries
+        seen[plan.feasible] += 1
+
+        slack = _exact_triangle_slack(conc.entries)
+        if slack >= 0:
+            assert plan.feasible, conc.entries
+        if slack < -1.01e-12:
+            assert not plan.feasible, conc.entries
+
+        if n == 5 or not plan.feasible:
+            continue
+        edges = (interval.lo - FEAS_TOL, interval.lo - 9e-13, interval.lo,
+                 interval.hi, interval.hi + 9e-13, interval.hi + FEAS_TOL)
+        plans = [plan] + [build_plan_from_concurrence([uniform] * n, conc, alpha=a)
+                          for a in edges if interval.contains(a)]
+        for p in plans:
+            assert p.feasible
+            assert pmf_residual(p.recipe.pmf, [0.5] * n, conc.entries) <= 16 * FEAS_TOL
+    assert min(seen.values()) > 100
 
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -187,7 +188,8 @@ def test_plan_command_on_a_concurrence_config(tmp_path, capsys):
     assert main(["plan", "--config", path]) == 1
     captured = capsys.readouterr()
     diagnostics = ("infeasible concurrence matrix: alpha lower bound 0.000000 (from 4-cycle "
-                   "sums) exceeds upper bound -0.500000 (from the minimum triangle sum)")
+                   "sums) exceeds upper bound -0.500000 (from the minimum triangle sum) "
+                   "(over by 0.5)")
     assert captured.err == diagnostics + "\n"
     report = json.loads(captured.out)
     assert report["feasible"] is False and report["recipe"] is None
@@ -268,6 +270,23 @@ def test_sample_respects_streams(tmp_path):
     assert main(["sample", "--config", path, "--streams", "1", "--out", str(out1)]) == 0
     assert out1.read_text().splitlines()[0] == lines[0]
     assert out1.read_bytes() != out.read_bytes()
+
+
+def test_streams_beyond_count_seed_no_generator(tmp_path):
+    # only the first `count` streams get a row, so only they are drawn
+    ten = tmp_path / "ten.csv"
+    assert main(["sample", "--config", write_config(tmp_path, exp_pair(count=10)),
+                 "--streams", "10", "--out", str(ten)]) == 0
+    many = str(10 ** 12)
+    runs = [["--config", write_config(tmp_path, exp_pair(count=10), "flag.json"),
+             "--streams", many],
+            ["--config", write_config(tmp_path, exp_pair(count=10, streams=10 ** 12), "cfg.json")]]
+    for k, args in enumerate(runs):
+        out = tmp_path / f"many{k}.csv"
+        start = time.perf_counter()
+        assert main(["sample", *args, "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert out.read_bytes() == ten.read_bytes()
 
 
 def test_sample_infeasible_writes_nothing(tmp_path, capsys):

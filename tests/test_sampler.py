@@ -196,7 +196,7 @@ def test_plan_infeasible_triple_above_its_upper_bound_diagnostics():
     assert not plan.feasible and plan.recipe is None
     assert plan.diagnostics == (
         "infeasible concurrence matrix: lambda12 + lambda13 + lambda23 = 2.000000 "
-        "> 1 + 2*min(lambda) = 1.000000"
+        "> 1 + 2*min(lambda) = 1.000000 (over by 1)"
     )
 
 
@@ -205,7 +205,7 @@ def test_plan_infeasible_quadruple_diagnostics():
     assert not plan.feasible and plan.recipe is None
     assert plan.diagnostics == (
         "infeasible concurrence matrix: alpha lower bound 0.000000 (from 4-cycle sums) "
-        "exceeds upper bound -0.500000 (from the minimum triangle sum)"
+        "exceeds upper bound -0.500000 (from the minimum triangle sum) (over by 0.5)"
     )
 
 
