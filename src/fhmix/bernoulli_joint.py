@@ -39,8 +39,8 @@ concurrences P(B_i = B_j).  A pmf sums its rows once; the accessors and
 ``_check_constraints``, which re-verifies every constructed pmf, read them.
 
 One rule decides feasibility, 1 - 1e-12 <= a + b + c <= 1 + 2*min + 1e-12
-(``_triangle_holds``), on n = 3's triangle, n = 4's four and the screen's;
-an alpha with no atom below -1e-12 builds a pmf with rounding-level residuals.
+(``_triangle_holds``), on n = 3's triangle, n = 4's four and the screen's; an alpha
+with no atom below -1e-12 builds a pmf, clipped by ``JointPMF``'s one face rule.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _constraint_system(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
 def _check_unit_interval(value: float, name: str) -> float:
     v = float(value)
     if not math.isfinite(v) or v < -FEAS_TOL or v > 1.0 + FEAS_TOL:
-        raise InvalidMatrixError(f"{name}={value!r} must lie in [0, 1]")
+        raise InvalidMatrixError(f"{name}={v!r} must lie in [0, 1]")
     return min(1.0, max(0.0, v))
 
 
@@ -192,8 +192,8 @@ class ConcurrenceMatrix(_UnitDiagonalMatrix):
 class JointPMF:
     """Exact pmf over the 2^n atoms of {0,1}^n (b1 = most significant bit).
 
-    Entries in [-1e-12, 0) are clamped to 0; anything more negative, or a
-    total mass off 1 by more than 1e-12, is rejected.
+    The one face rule: an atom below -1e-12, or a signed mass off 1 by more than
+    1e-12, is rejected; an atom in [-1e-12, 0) is set to 0 and the rest rescaled to 1.
     """
 
     n: int
@@ -213,10 +213,12 @@ class JointPMF:
             raise InvalidDistributionError(
                 f"atom p{_bits_str(k, self.n)} = {low!r} is negative beyond tolerance"
             )
-        arr[arr < 0.0] = 0.0
         total = float(arr.sum())
         if abs(total - 1.0) > FEAS_TOL:
             raise InvalidDistributionError(f"pmf sums to {total!r}, expected 1")
+        if low < 0.0:
+            arr[arr < 0.0] = 0.0
+            arr /= arr.sum()
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
@@ -231,7 +233,7 @@ class JointPMF:
 
     def _coordinate(self, i: int) -> int:
         if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
-            raise DomainError(f"coordinate {i!r} is not in 0..{self.n - 1}")
+            raise DomainError(f"coordinate {i} is not in 0..{self.n - 1}")
         return i
 
     def marginal_prob(self, i: int) -> float:
@@ -440,8 +442,8 @@ def _three_coordinate_interval(p, lams, feasible: bool) -> AlphaInterval:
 
 
 def _three_coordinate_pmf(p, lams, alpha: float, prefix: str) -> JointPMF:
-    """The law of (X1, X2, X3) with P(X = 111) = alpha, atoms in [-1e-12, 0) clipped
-    and rescaled; a lower atom or a NaN raises :class:`InfeasibleError` naming it."""
+    """The law of (X1, X2, X3) with P(X = 111) = alpha, under :class:`JointPMF`'s face
+    rule; an atom below -1e-12 or a NaN raises :class:`InfeasibleError` naming it."""
     a = float(alpha)
     probs = np.array([q + s * a for q, s in zip(_three_coordinate_atoms(p, lams), _ALPHA_SIGNS)])
     low = float(probs.min())
@@ -453,9 +455,6 @@ def _three_coordinate_pmf(p, lams, alpha: float, prefix: str) -> JointPMF:
             f"{tuple(round(v, 12) for v in lams)}: atom {prefix}{_bits_str(k, 3)} "
             f"= {float(probs[k])!r} < 0"
         )
-    if low < 0.0:
-        probs = np.maximum(probs, 0.0)
-        probs /= probs.sum()
     pmf = JointPMF(3, probs)
     _check_constraints(pmf, p, lams)
     return pmf

@@ -23,10 +23,10 @@ test, which terminates.  The mode decides how the answer is trusted:
 
 * float   - the phase-1 optimum is compared against 1e-9 and any witness is
             re-verified against the constraints at that tolerance.  That
-            is looser than 1e-12 on a triangle sum: on an n = 5 triangle
-            face it is feasible at shortfalls 1.5e-12 and 1e-10, infeasible
-            at 2e-9.  A plan at n >= 5 thus follows the screen on triangle
-            faces, and this 1e-9 on faces that no triple sees.
+            is looser than 1e-12 on a triangle sum: on triangle faces at
+            n = 3, 4 and 5 it accepts some shortfalls up to 2e-9 and none
+            from 2.5e-9.  A plan at n >= 5 thus follows the screen on
+            triangle faces, and this 1e-9 on faces that no triple sees.
 * exact   - the final basis is re-solved in integer arithmetic from the
             exact inputs (Applegate, Cook, Dash & Espinoza 2007, "Exact
             solutions to linear programming problems"): either its basic
@@ -104,7 +104,7 @@ def lp_feasible(marginal_probs, conc: ConcurrenceMatrix, mode: str = "auto", *,
         )
     for i, p in enumerate(probs):
         if not 0 <= p <= 1:
-            raise DomainError(f"marginal probability {i + 1} = {p!r} not in [0, 1]")
+            raise DomainError(f"marginal probability {i + 1} = {p} not in [0, 1]")
 
     rhs_values = [1] + probs + [conc.entry(i, j) for i in range(n) for j in range(i + 1, n)]
     if mode not in ("auto", "exact", "float"):

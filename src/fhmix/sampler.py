@@ -114,15 +114,19 @@ class CorrelationMatrix(_UnitDiagonalMatrix):
 class BernoulliRecipe:
     """Compiled fair-coin vector source: a pmf over {0,1}^n.
 
-    The search tables of the draw (the pmf's ``_levels``) are built on the
-    first draw and cached, so compiling a plan that is never drawn from
-    costs nothing here.
+    ``alpha`` is its law's P(X = 111) (at n = 4, all coins agree).  The draw's
+    search tables (the pmf's ``_levels``) are built on the first draw and
+    cached, so compiling a plan that is never drawn from costs nothing here.
     """
 
     kind: str  # "bivariate" | "trivariate" | "quadrivariate" | "oracle_pmf"
     pmf: JointPMF
-    alpha: float | None = None
     alpha_interval: AlphaInterval | None = None
+
+    @property
+    def alpha(self) -> float | None:
+        p, n = self.pmf.probs, self.pmf.n
+        return float(p[7]) if n == 3 else float(p[0] + p[15]) if n == 4 else None
 
 
 @dataclass(frozen=True)
@@ -291,13 +295,13 @@ def _recipe(lam: ConvexityMatrix, alpha: float | None) -> BernoulliRecipe | str:
         if not interval.feasible:
             return bj._sum_bound_failure(l12, l13, l23)
         a = interval.midpoint if alpha is None else float(alpha)
-        return BernoulliRecipe("trivariate", bj.trivariate_pmf(l12, l13, l23, a), a, interval)
+        return BernoulliRecipe("trivariate", bj.trivariate_pmf(l12, l13, l23, a), interval)
     if n == 4:
         interval = bj.quadrivariate_alpha_interval(lam)
         if not interval.feasible:
             return bj._empty_interval_failure(interval)
         a = interval.midpoint if alpha is None else float(alpha)
-        return BernoulliRecipe("quadrivariate", bj.quadrivariate_lifted_pmf(lam, a), a, interval)
+        return BernoulliRecipe("quadrivariate", bj.quadrivariate_lifted_pmf(lam, a), interval)
     bad = bj.violated_principal_submatrix(lam)
     if bad is not None:
         coords = ", ".join(str(i + 1) for i in bad)

@@ -84,6 +84,13 @@ def test_joint_pmf_validation():
     # tiny negatives are clamped
     pmf = JointPMF(1, np.array([1.0 + 1e-13, -1e-13]))
     assert pmf.probs[1] == 0.0
+    # the signed mass is tested, and only a clipped pmf is rescaled to mass 1
+    pmf = JointPMF(3, np.array([0.5 + 1.8e-12] * 2 + [-0.9e-12] * 4 + [0.0] * 2))
+    assert pmf.probs.tolist() == [0.5, 0.5] + [0.0] * 6
+    with pytest.raises(InvalidDistributionError, match="pmf sums to"):
+        JointPMF(3, np.array([0.5 + 1.8e-12] * 2 + [0.0] * 6))
+    probs = np.array([0.1, 0.2, 0.3, 0.4 + 5e-13])
+    assert JointPMF(2, probs).probs.tolist() == probs.tolist()
 
 
 @pytest.mark.parametrize("build,error,text", [
@@ -92,7 +99,14 @@ def test_joint_pmf_validation():
      "atom p11 = -0.25 is negative beyond tolerance"),
     (lambda: bernoulli_joint._check_constraints(JointPMF(1, np.array([0.5, 0.5])), [0.25], []),
      NumericalError, "marginal 1 row: 0.5, wanted 0.25 (off by 0.25"),
-], ids=["alpha-atom", "pmf-atom", "constraint-row"])
+    (lambda: trivariate_pmf(np.float64(1.5), 0.5, 0.5, 0.0), InvalidMatrixError,
+     "lambda12=1.5 must lie in [0, 1]"),
+    (lambda: lp_feasible([np.float64(1.5), 0.5], ConcurrenceMatrix.filled(2, 0.5)),
+     DomainError, "marginal probability 1 = 1.5 not in [0, 1]"),
+    (lambda: JointPMF(2, np.full(4, 0.25)).marginal_prob(np.int64(5)), DomainError,
+     "coordinate 5 is not in 0..1"),
+], ids=["alpha-atom", "pmf-atom", "constraint-row", "unit-interval", "lp-marginal",
+        "coordinate"])
 def test_error_texts_print_plain_floats(build, error, text):
     with pytest.raises(error) as info:
         build()
@@ -736,8 +750,53 @@ def test_one_verdict_at_the_faces_and_every_admitted_alpha_builds():
         for p in plans:
             assert p.feasible
             assert pmf_residual(p.recipe.pmf, [0.5] * n, conc.entries) <= 16 * FEAS_TOL
+            # the reported alpha is the drawn law's P(X = 111): all coins agree at n = 4
+            law = p.recipe.pmf.probs
+            assert p.recipe.alpha == (law[7] if n == 3 else law[0] + law[15]), conc.entries
+            assert 0.0 <= p.recipe.alpha <= 1.0, conc.entries
     assert min(seen.values()) > 100
 
+
+def test_float_lp_agrees_with_the_triangle_rule_outside_its_band():
+    # fair-coin laws with one triangle on a face: no mass where its three
+    # coins agree (sum 1), or where coin w differs from the two others, which
+    # agree (l_wa + l_wb - l_ab = 1); then its edges move by d/3 each, across
+    # the face (a shortfall) or into the feasible set (an excess).  Float
+    # lp_feasible meets every row within 1e-9, so it may accept shortfalls up
+    # to 2e-9 (the oracle's band); from 2.5e-9 both verdicts are infeasible
+    rng = np.random.default_rng(18)
+    checked = {"feasible": 0, "infeasible": 0}
+    for n in [3] * 50 + [4] * 50:
+        bits = _bit_table(n)
+        t = np.sort(rng.choice(n, 3, replace=False))
+        v = int(rng.integers(-1, 3))
+        if v < 0:
+            empty = (bits[:, t] == bits[:, t[:1]]).all(axis=1)
+            outward = {(t[0], t[1]): -1, (t[0], t[2]): -1, (t[1], t[2]): -1}
+        else:
+            w, (a, b) = t[v], np.delete(t, v)
+            empty = (bits[:, a] == bits[:, b]) & (bits[:, w] != bits[:, a])
+            outward = {tuple(sorted(edge)): sign
+                       for edge, sign in (((w, a), 1), ((w, b), 1), ((a, b), -1))}
+        probs = rng.random(2 ** n)
+        probs[empty] = 0.0
+        e = JointPMF(n, (probs + probs[::-1]) / (2 * probs.sum())).concurrence_matrix().entries
+        for shortfall in (0.0, 1e-12, 1e-10, 2e-9, 2.5e-9, 1e-8, -1e-12, -1e-10, -2e-9, -1e-8):
+            m = e.copy()
+            for (i, j), s in outward.items():
+                m[i, j] = m[j, i] = e[i, j] + s * shortfall / 3
+            conc = ConcurrenceMatrix(m)
+            lp = lp_feasible([0.5] * n, conc, mode="float").feasible
+            rule = violated_principal_submatrix(conc) is None
+            if _exact_triangle_slack(m) >= 0:
+                assert lp and rule, (m, shortfall)
+                checked["feasible"] += 1
+            if shortfall >= 1e-10:
+                assert not rule, (m, shortfall)
+            if shortfall >= 2.5e-9:
+                assert not lp, (m, shortfall)
+                checked["infeasible"] += 1
+    assert min(checked.values()) > 150
 
 
 _EDGES = list(itertools.combinations(range(4), 2))  # 12, 13, 14, 23, 24, 34

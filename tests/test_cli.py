@@ -61,13 +61,17 @@ def test_config_roundtrip_is_idempotent():
         lambda d: d.update(marginals=[{"family": "exponential", "rate": -1.0}] * 2),
         lambda d: d.update(marginals=[{"family": "what", "rate": 1.0}] * 2),
         lambda d: d.update(extra_key=1),
+        lambda d: d.update(marginals=[5, 5]),
+        lambda d: d.update(marginals=[{"family": "exponential", "rate": 1.0, "scale": 2.0}] * 2),
     ],
 )
-def test_config_validation_errors(mutate):
+def test_config_validation_errors(tmp_path, capsys, mutate):
     doc = exp_pair()
     mutate(doc)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         parse_config(json.dumps(doc))
+    assert main(["plan", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 def _empirical_first(values, weights=None):
@@ -93,22 +97,35 @@ def _empirical_first(values, weights=None):
         _empirical_first([0.0, 1.0], [0.5, "0.5"]),
         _empirical_first([0.0, 1.0], [0.5, None]),
         _empirical_first([0.0, 1.0], [0.5, [0.5]]),
+        _empirical_first("0.0 1.0"),
+        _empirical_first([0.0, 1.0], "0.5 0.5"),
+        lambda d: ["--seed", "-1"],
+        lambda d: ["--streams", "0"],
     ],
     ids=["count-true", "seed-false", "streams-true", "value-string", "value-true",
          "value-letter", "value-null", "value-list", "value-huge-int", "weight-string",
-         "weight-null", "weight-list"],
+         "weight-null", "weight-list", "values-not-list", "weights-not-list",
+         "seed-flag-negative", "streams-flag-zero"],
 )
 def test_non_numbers_and_booleans_are_usage_errors(tmp_path, capsys, mutate):
+    # a mutation that returns a list adds those command-line flags
     doc = exp_pair()
-    mutate(doc)
+    flags = mutate(doc) or []
     path = write_config(tmp_path, doc)
-    assert main(["sample", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["sample", "--config", path, *flags, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
 
 
-def test_config_rejects_bad_json():
-    with pytest.raises(ConfigError):
-        parse_config("{not json")
+def test_config_rejects_bad_json(tmp_path, capsys):
+    for text, why in (("{not json", "config is not valid JSON"),
+                      ("[1, 2]", "config must be a JSON object")):
+        with pytest.raises(ConfigError, match=why):
+            parse_config(text)
+        path = tmp_path / "job.json"
+        path.write_text(text)
+        assert main(["plan", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {why}")
 
 
 def test_empirical_marginal_roundtrip():
@@ -300,6 +317,11 @@ def test_sample_infeasible_writes_nothing(tmp_path, capsys):
     out = tmp_path / "never.csv"
     assert main(["sample", "--config", path, "--out", str(out)]) == 1
     assert not out.exists()
+    report = tmp_path / "never.json"
+    assert main(["verify", "--config", path, "--out", str(report), str(out)]) == 1
+    assert not report.exists()
+    first, second = capsys.readouterr().err.splitlines()
+    assert first == second and first.startswith("infeasible concurrence matrix: ")
 
 
 def test_roundtrip_values_parse_exactly(tmp_path):
