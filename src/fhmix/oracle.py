@@ -18,15 +18,14 @@ wrong verdict.  Dantzig's rule runs first, with a Harris two-pass ratio test
 (the smallest ratio against the right-hand side relaxed by 1e-9, then the
 largest pivot element among the rows within that bound), which keeps tiny
 pivots out of the basis; on a stall, a cycle or a numerical failure (a
-singular basis) it restarts with Bland's rule and its lowest-index ratio
-test, which terminates.  The mode decides how the answer is trusted:
+singular basis, or an end on a basic value below zero, which the relaxation
+allows) it restarts with Bland's rule and its lowest-index ratio test, which
+terminates.  The mode decides how the answer is trusted:
 
-* float   - the phase-1 optimum is compared against 1e-9 and any witness is
-            re-verified against the constraints at that tolerance.  That
-            is looser than 1e-12 on a triangle sum: on triangle faces at
-            n = 3, 4 and 5 it accepts some shortfalls up to 2e-9 and none
-            from 2.5e-9.  A plan at n >= 5 thus follows the screen on
-            triangle faces, and this 1e-9 on faces that no triple sees.
+* float   - verdicts accept a total violation up to 1e-9: the phase-1
+            optimum must be within it, and the witness must meet every row
+            within it.  A plan at n >= 5 thus follows the closed forms'
+            1e-12 on triangle faces, and this 1e-9 on faces no triple sees.
 * exact   - the final basis is re-solved in integer arithmetic from the
             exact inputs (Applegate, Cook, Dash & Espinoza 2007, "Exact
             solutions to linear programming problems"): either its basic
@@ -49,13 +48,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernoulli_joint import (ConcurrenceMatrix, JointPMF, _check_constraints,
+from .bernoulli_joint import (FEAS_TOL, ConcurrenceMatrix, JointPMF, _check_constraints,
                               _constraint_system, atom_bits, atom_index)
 from .errors import CapacityError, DomainError, InvalidMatrixError, NumericalError
 
 MAX_DIMENSION = 12
 
-#: residual tolerance for float verdicts and witness re-verification
+#: total violation that float verdicts accept, and the Harris ratio test's relaxation
 FLOAT_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 #: auto mode uses exact arithmetic when all denominators stay below this
@@ -65,7 +64,10 @@ _EXACT_DENOM_LIMIT = 10 ** 6
 @dataclass(frozen=True)
 class FeasibilityWitness:
     """Verdict of :func:`lp_feasible`: a witness pmf, or none and a violation
-    description."""
+    description.  ``max_residual`` is the witness's largest row miss (0.0 in
+    exact mode); without one, the exact minimum total violation, the float
+    phase-1 optimum, or, where that optimum is within 1e-9, the row miss
+    above 1e-9 that rejected its witness."""
 
     pmf: JointPMF | None
     certificate: str | None
@@ -118,13 +120,17 @@ def lp_feasible(marginal_probs, conc: ConcurrenceMatrix, mode: str = "auto", *,
     value, x, y, basis = _phase1_float(A, b)
     if use_exact:
         return _certify(A, [_to_fraction(v) for v in rhs_values], basis, names, n)
+    why = f"minimum total violation {value:.6g}"
     if value <= FLOAT_TOL:
         probs = np.clip(x, 0.0, None)
         probs /= probs.sum()
         pmf = JointPMF(n, probs)
-        residual = _check_constraints(pmf, b[1:n + 1], b[n + 1:], FLOAT_TOL)
-        return FeasibilityWitness(pmf, None, residual, "float")
-    return FeasibilityWitness(None, _certificate(value, y, names), value, "float")
+        # rounding may put a row just past FLOAT_TOL; a larger miss is a fault
+        residual = _check_constraints(pmf, b[1:n + 1], b[n + 1:], FLOAT_TOL + 16 * FEAS_TOL)
+        if residual <= FLOAT_TOL:
+            return FeasibilityWitness(pmf, None, residual, "float")
+        value, why = residual, f"the witness misses a row by {residual!r} > {FLOAT_TOL:g}"
+    return FeasibilityWitness(None, _certificate(why, y, names), value, "float")
 
 
 def pushforward(pmf: JointPMF, atom_map) -> JointPMF:
@@ -159,8 +165,6 @@ def _all_small_rationals(values) -> bool:
 
 #: pivots between refactorizations of the basis inverse from the original columns
 _REFACTOR_EVERY = 32
-#: right-hand-side relaxation of the first pass of the Harris ratio test
-_HARRIS_TOL = 1e-9
 
 
 @dataclass
@@ -197,7 +201,9 @@ def _phase1_float(A: np.ndarray,
         try:
             if _simplex_iterate(state, basis, bland, max_iter):
                 _refactor(state, basis)
-                break
+                # a Harris end with x_B < 0 is a numerical failure; Bland's test keeps x_B >= 0
+                if bland or state.T[:, m].min() >= -_PIVOT_TOL:
+                    break
         except NumericalError:
             if bland:
                 raise
@@ -242,7 +248,7 @@ def _simplex_iterate(state: _Phase1, basis: list[int], bland: bool, max_iter: in
             r = int(min(ties, key=lambda k: basis[k]))
         else:
             # Harris: the largest pivot among the rows within the relaxed bound
-            within = ratios <= ((xb + _HARRIS_TOL) / col).min()
+            within = ratios <= ((xb + FLOAT_TOL) / col).min()
             r = int(pos[within][col[within].argmax()])
         # rank-1 update of [B^-1 | x_B] for column j entering at row r
         row = state.T[r] / alpha[r]
@@ -304,8 +310,8 @@ def _certify(A: np.ndarray, b: list[Fraction], basis: list[int], names,
     if (violation > 0 and max(num) <= det
             and (A.T.astype(np.int64) @ np.array(num, dtype=object) <= 0).all()):
         y = np.array([float(Fraction(v, det)) for v in num])
-        return FeasibilityWitness(None, _certificate(float(violation), y, names),
-                                  float(violation), "exact")
+        why = f"minimum total violation {float(violation):.6g}"
+        return FeasibilityWitness(None, _certificate(why, y, names), float(violation), "exact")
     raise NumericalError(
         "final simplex basis certifies neither a witness nor infeasibility in exact arithmetic"
     )
@@ -344,14 +350,14 @@ def _to_fraction(v) -> Fraction:
     return Fraction(float(v))
 
 
-def _certificate(violation: float, y: np.ndarray, names) -> str:
-    """Human-readable Farkas-style description of an infeasible system."""
+def _certificate(why: str, y: np.ndarray, names) -> str:
+    """Human-readable Farkas-style description of an infeasible system;
+    ``why`` states the number that decided the verdict."""
     weights = sorted(
         ((abs(w), name, w) for w, name in zip(y, names) if abs(w) > 1e-9),
         reverse=True,
     )
     combo = ", ".join(f"{w:+.4g} x [{name}]" for _, name, w in weights[:6])
     return (
-        f"no distribution satisfies the constraints; minimum total violation "
-        f"{violation:.6g}. Certificate combination: {combo}"
+        f"no distribution satisfies the constraints; {why}. Certificate combination: {combo}"
     )

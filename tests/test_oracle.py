@@ -285,6 +285,18 @@ def test_a_float_witness_that_misses_a_row_raises_naming_it(monkeypatch):
         lp_feasible([0.5, 0.5], conc, mode="float")
 
 
+def test_a_witness_just_past_the_tolerance_is_an_infeasible_verdict():
+    # three fair coins, a triangle moved 1e-9 past its upper face: the
+    # phase-1 optimum is just below 1e-9 and the clipped witness misses a row
+    # by just above it, which rounding explains, so the verdict is infeasible
+    conc = ConcurrenceMatrix.from_lower_triangle(
+        [0.7609217367866092, 0.10619339465753586, 0.3452716588709266], 3)
+    w = lp_feasible([0.5] * 3, conc)
+    assert w.mode == "float" and not w.feasible
+    assert FLOAT_TOL < w.max_residual <= 1.01 * FLOAT_TOL
+    assert f"misses a row by {w.max_residual!r} > 1e-09" in w.certificate
+
+
 @pytest.mark.parametrize("probs, lower", [
     ([0.5] * 5, [0.5] * 10),                      # fair coins, feasible
     ([0.5] * 5, [0.25] * 10),                     # below the n = 5 bound 3/8

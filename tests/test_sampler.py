@@ -387,6 +387,46 @@ def test_sparse_n11_law_compiles():
     assert pmf_residual(plan.recipe.pmf, [0.5] * 11, conc.entries) <= 1e-9
 
 
+# five uniforms with concurrence (1,4) 2e-9 below 1, on which Dantzig's pass
+# ends with a basic value of -1e-9 (the Bland restart's lowest is -1.1e-16);
+# HiGHS meets every row within 2.2e-16
+NEAR_FACE_N5 = [0.2272945729512399, 0.5244411777796993, 0.5126423899466896,
+                0.9999999979999998, 0.2272945729512399, 0.5244411757796993,
+                0.1321890703388145, 0.9048944973875745, 0.607747890559115, 0.1321890703388145]
+
+
+def test_a_near_face_n5_plan_is_feasible():
+    conc = ConcurrenceMatrix.from_lower_triangle(NEAR_FACE_N5, 5)
+    plan = build_plan_from_concurrence([UNIFORM] * 5, conc)
+    assert plan.feasible and plan.recipe.kind == "oracle_pmf"
+    assert pmf_residual(plan.recipe.pmf, [0.5] * 5, conc.entries) <= 1e-9
+
+
+def test_near_face_plans_at_n5_to_7_are_verdicts():
+    # sparse complement-symmetric laws, one shift d added to about half their
+    # concurrences: most fail the screen, the rest reach the LP within 2e-9
+    # of a face.  No plan raises, and every recipe meets its rows within 1e-9
+    rng = np.random.default_rng(3)
+    shifts = [-2e-9, -1.5e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 1.5e-9, 2e-9]
+    feasible = 0
+    for t in range(300):
+        n = 5 + t % 3
+        k = rng.integers(1, n + 1)
+        mu = np.zeros(2 ** n)
+        np.add.at(mu, rng.integers(0, 2 ** n, k), rng.random(k))
+        mu = mu + mu[::-1]
+        e = JointPMF(n, mu / mu.sum()).concurrence_matrix().entries.copy()
+        upper = np.triu_indices(n, 1)
+        d = shifts[rng.integers(0, len(shifts))]
+        e[upper] = np.clip(e[upper] + d * (rng.random(len(upper[0])) < 0.5), 0.0, 1.0)
+        e.T[upper] = e[upper]
+        plan = build_plan_from_concurrence([UNIFORM] * n, ConcurrenceMatrix(e))
+        if plan.feasible:
+            feasible += 1
+            assert pmf_residual(plan.recipe.pmf, [0.5] * n, e) <= 1e-9, (t, e)
+    assert feasible > 30
+
+
 def test_lp_certificate_names_the_fair_coin_constraints():
     # mean concurrence 0.42 < 30/66 breaks a max-cut inequality while every
     # 3- and 4-subset passes the screen.  Moving the second coordinate of
@@ -635,15 +675,17 @@ def fair_coin_law(rng: np.random.Generator, n: int, spread: bool) -> JointPMF:
 @settings(max_examples=40, deadline=timedelta(seconds=10))
 @given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
 def test_no_recipe_draws_a_zero_mass_atom(n, seed):
-    # the compiled recipe (closed form for n <= 4, an LP witness above) of a
-    # spread law, and a sparse law used as its own recipe, whose float sums
-    # need not reach 1.  LP recipes compile from spread laws because some
-    # sparse ones at n >= 11 raise the LP's open wrong-basis NumericalError.
+    # the compiled recipes (closed form for n <= 4, an LP witness above) of a
+    # spread and a sparse law, and the sparse law used as its own recipe,
+    # whose float sums need not reach 1
     rng = np.random.default_rng(seed)
-    spread = fair_coin_law(rng, n, spread=True)
-    plan = build_plan_from_concurrence([UNIFORM] * n, spread.concurrence_matrix())
-    assert plan.feasible
-    for recipe in (plan.recipe, BernoulliRecipe("oracle_pmf", fair_coin_law(rng, n, False))):
+    sparse = fair_coin_law(rng, n, spread=False)
+    recipes = [BernoulliRecipe("oracle_pmf", sparse)]
+    for law in (fair_coin_law(rng, n, spread=True), sparse):
+        plan = build_plan_from_concurrence([UNIFORM] * n, law.concurrence_matrix())
+        assert plan.feasible
+        recipes.append(plan.recipe)
+    for recipe in recipes:
         cdf = np.cumsum(recipe.pmf.probs)
         edges = cdf[cdf < 1.0]
         x = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
