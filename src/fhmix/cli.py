@@ -324,7 +324,9 @@ def _write_on_pool(out, blocks, workers: int) -> None:
     one-piece size, so its draw starts no thread to be copied.  OpenBLAS
     keeps idle threads unless OPENBLAS_NUM_THREADS=1, for which Python
     3.12+ warns that forking is deprecated; the children only format text
-    and take no lock those threads hold.
+    and take no lock those threads hold.  They inherit every descriptor of
+    the process, so a caller of ``main`` in-process must not hold the read
+    end of the ``--out`` pipe, or a broken pipe can hang.
     """
     out.flush()  # no child may hold the header in a copy of the buffer
     # a ^C reaches the whole process group: the parent alone handles it
@@ -495,13 +497,10 @@ def main(argv=None) -> int:
             return cmd_plan(cfg, args.out)
         if args.command == "verify":
             return cmd_verify(cfg, args.csv, args.out)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
-        if args.streams is not None and args.streams < 1:
-            raise ConfigError("--streams must be >= 1")
-        cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
-                      streams=cfg.streams if args.streams is None else args.streams)
-        return cmd_sample(cfg, args.out)
+        seed = cfg.seed if args.seed is None else _require_int(args.seed, "--seed", 0)
+        streams = (cfg.streams if args.streams is None
+                   else _require_int(args.streams, "--streams", 1))
+        return cmd_sample(replace(cfg, seed=seed, streams=streams), args.out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,9 +23,12 @@ allows) it restarts with Bland's rule and its lowest-index ratio test, which
 terminates.  The mode decides how the answer is trusted:
 
 * float   - verdicts accept a total violation up to 1e-9: the phase-1
-            optimum must be within it, and the witness must meet every row
-            within it.  A plan at n >= 5 thus follows the closed forms'
-            1e-12 on triangle faces, and this 1e-9 on faces no triple sees.
+            optimum must be within it, and the witness (as the sampler's
+            lifted recipe) must meet every row within it as ``JointPMF``
+            sums rows, masked in atom order; a sum in another order can
+            read a few ulps past 1e-9 at the band's edge.  A plan at n >= 5
+            thus follows the closed forms' 1e-12 on triangle faces, and this
+            1e-9 on faces no triple sees.
 * exact   - the final basis is re-solved in integer arithmetic from the
             exact inputs (Applegate, Cook, Dash & Espinoza 2007, "Exact
             solutions to linear programming problems"): either its basic

@@ -40,11 +40,12 @@ the numpy and scipy kernels of a piece release the GIL.  The calling
 thread draws each piece's uniforms in row order and copies them into a
 scratch set before it hands the piece to a worker, and each worker writes
 only its piece's rows, so the bytes are the same for any piece size or
-worker count.  The scratch sets, one per worker, are allocated on the
-calling thread and passed between workers through a queue, because memory
-that a worker thread allocates and frees stays in that thread's malloc
-arena: with scratch allocated per piece on the workers, the peak RSS of a
-process drawing 10^6 rows at n = 12 grew by 4-16%.  For the same reason an
+worker count.  The scratch sets, one per worker, form a ring allocated on
+the calling thread: piece k loads set k mod workers once the piece before
+it on that set has finished, so at most one piece per worker is in flight.
+Memory a worker thread allocates and frees stays in its malloc arena: with
+scratch allocated per piece on the workers, the peak RSS of a process
+drawing 10^6 rows at n = 12 grew by 4-16%.  For the same reason an
 empirical quantile searches in its scratch set's idle arrays.  So a batch's
 temporaries take a fixed amount of memory whatever its size.
 
@@ -60,10 +61,11 @@ never drawn.
 
 from __future__ import annotations
 
+import operator
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -74,7 +76,7 @@ from .bernoulli_joint import (
     JointPMF,
     _UnitDiagonalMatrix,
 )
-from .bounds import CorrelationExtremes, _sort_key, corr_extremes
+from .bounds import CorrelationExtremes, corr_extremes
 from .errors import (
     CapacityError,
     DomainError,
@@ -197,17 +199,17 @@ def convexity_from_correlation(rho: float, ext: CorrelationExtremes) -> float:
 def pairwise_extremes(
     marginals,
 ) -> tuple[tuple[CorrelationExtremes | None, ...], ...]:
-    """Upper-triangular table of correlation extremes, memoized per pair."""
+    """Upper-triangular table of correlation extremes, memoized per unordered
+    pair of specs (``corr_extremes`` is symmetric in its arguments)."""
     ms = tuple(marginals)
     n = len(ms)
-    cache: dict[tuple, CorrelationExtremes] = {}
+    cache: dict[frozenset, CorrelationExtremes] = {}
     table: list[list[CorrelationExtremes | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = tuple(sorted((_sort_key(ms[i]), _sort_key(ms[j]))))
-            if key not in cache:
-                cache[key] = corr_extremes(ms[i], ms[j])
-            table[i][j] = cache[key]
+    for i, j in combinations(range(n), 2):
+        key = frozenset((ms[i], ms[j]))
+        if key not in cache:
+            cache[key] = corr_extremes(ms[i], ms[j])
+        table[i][j] = cache[key]
     return tuple(tuple(row) for row in table)
 
 
@@ -229,11 +231,8 @@ def build_plan(
     _check_dimension(len(ms), target_corr.n)
     ext = pairwise_extremes(ms)
     lam = np.eye(len(ms))
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            lam[i, j] = lam[j, i] = convexity_from_correlation(
-                target_corr.entry(i, j), ext[i][j]
-            )
+    for i, j in combinations(range(len(ms)), 2):
+        lam[i, j] = lam[j, i] = convexity_from_correlation(target_corr.entry(i, j), ext[i][j])
     return _finish_plan(ms, target_corr, ext, ConvexityMatrix(lam), alpha)
 
 
@@ -251,11 +250,9 @@ def build_plan_from_concurrence(
     _check_dimension(len(ms), concurrence.n)
     ext = pairwise_extremes(ms)
     corr = np.eye(len(ms))
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            lam = concurrence.entry(i, j)
-            e = ext[i][j]
-            corr[i, j] = corr[j, i] = lam * e.rho_plus + (1.0 - lam) * e.rho_minus
+    for i, j in combinations(range(len(ms)), 2):
+        lam, e = concurrence.entry(i, j), ext[i][j]
+        corr[i, j] = corr[j, i] = lam * e.rho_plus + (1.0 - lam) * e.rho_minus
     return _finish_plan(ms, CorrelationMatrix(corr), ext, concurrence, alpha)
 
 
@@ -345,18 +342,25 @@ def sample_batch(plan: SamplingPlan, count: int, seed: int, stream_id: int = 0) 
     rows is the first k rows of any longer batch with the same key.
     """
     _require_feasible(plan)
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    values = _batch_values(plan, int(count), _generator(seed, stream_id))
+    count = _integer(count, "count", 1)
+    values = _batch_values(plan, count, _generator(seed, stream_id))
     values.flags.writeable = False
-    return SampleBatch(int(count), plan.n, values, int(seed), int(stream_id))
+    return SampleBatch(count, plan.n, values, operator.index(seed), operator.index(stream_id))
 
 
 def _generator(seed: int, stream_id: int) -> np.random.Generator:
-    seed, stream_id = int(seed), int(stream_id)
-    if seed < 0 or stream_id < 0:
-        raise DomainError("seed and stream_id must be nonnegative integers")
+    seed, stream_id = _integer(seed, "seed", 0), _integer(stream_id, "stream_id", 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, stream_id]))
+
+
+def _integer(v, name: str, low: int) -> int:
+    """``v`` as a Python or numpy integer >= ``low``; floats, strings and bools raise."""
+    try:
+        if not isinstance(v, bool) and operator.index(v) >= low:
+            return operator.index(v)
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be an integer >= {low}, got {v!r}")
 
 
 def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -371,24 +375,16 @@ def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> n
         return out
     starts = range(0, count, PIECE_ROWS)
     workers = min(len(starts), _cpus())
-    free: queue.SimpleQueue[_Scratch] = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put(_Scratch(PIECE_ROWS))
-
-    def draw(scratch: _Scratch, rows: np.ndarray) -> None:
-        try:
-            _draw_piece(plan.marginals, levels, scratch, rows)
-        finally:
-            free.put(scratch)
-
+    ring = [_Scratch(PIECE_ROWS) for _ in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
         futures = []
-        for start in starts:
+        for k, start in enumerate(starts):
+            if k >= workers:  # wait for the last piece on this scratch set
+                futures[k - workers].exception()  # raised below, not here
             rows = out[start:start + PIECE_ROWS]
-            # waits for a worker to hand a scratch set back; uniforms are
-            # drawn here, in row order, whichever worker evaluates the piece
-            scratch = free.get().load(rng, len(rows))
-            futures.append(pool.submit(draw, scratch, rows))
+            # uniforms are drawn here, in row order, whichever worker draws the piece
+            scratch = ring[k % workers].load(rng, len(rows))
+            futures.append(pool.submit(_draw_piece, plan.marginals, levels, scratch, rows))
     for future in futures:
         future.result()
     return out

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from datetime import timedelta
 
@@ -459,6 +460,27 @@ def test_sample_batch_input_guards():
         sample_batch(plan, 10, seed=-1)
 
 
+@pytest.mark.parametrize("name", ["count", "seed", "stream_id"])
+@pytest.mark.parametrize("bad", [3.0, 3.9, "7", True, False])
+def test_sample_batch_takes_integers_only(name, bad):
+    # a float is not truncated, a string not parsed, a bool not read as 0/1
+    plan = build_plan([UNIFORM, UNIFORM], CorrelationMatrix.from_lower_triangle([0.5], 2))
+    args = {"count": 5, "seed": 2, "stream_id": 1, name: bad}
+    with pytest.raises(DomainError, match=rf"^{name} must be an integer >= [01], got "):
+        sample_batch(plan, **args)
+    if name != "count":
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer"):
+            _generator(args["seed"], args["stream_id"])
+
+
+def test_sample_batch_takes_numpy_integers():
+    plan = build_plan([UNIFORM, UNIFORM], CorrelationMatrix.from_lower_triangle([0.5], 2))
+    batch = sample_batch(plan, np.int64(5), seed=np.uint32(2), stream_id=np.int8(1))
+    assert (batch.count, batch.seed, batch.stream_id) == (5, 2, 1)
+    assert type(batch.count) is type(batch.seed) is type(batch.stream_id) is int
+    assert batch.values.tobytes() == sample_batch(plan, 5, seed=2, stream_id=1).values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # draw order
 # ---------------------------------------------------------------------------
@@ -533,8 +555,9 @@ def test_threaded_pieces_keep_the_bytes(monkeypatch):
 
 
 def test_a_failing_piece_raises_once_the_others_finish(monkeypatch):
-    # the failed piece's worker hands its scratch set back, so the pieces
-    # after it are drawn, and the error reaches the caller
+    # waiting on the failed piece's future does not raise, so the pieces
+    # after it reuse its scratch set and are drawn, and then the error
+    # reaches the caller
     plan = build_plan([UNIFORM] * 3, CorrelationMatrix.filled(3, 0.1))
     draw_piece = sampler._draw_piece
     pieces = []
@@ -561,6 +584,38 @@ def test_a_failing_piece_raises_once_the_others_finish(monkeypatch):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert raised == [True] and len(pieces) == 10
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_pieces_in_flight_are_bounded_by_the_workers(monkeypatch, cpus):
+    # a scratch set is loaded again only after the piece using it finishes:
+    # at most one piece per worker runs, each on a set no other running
+    # piece holds, and the pieces use exactly one set per worker
+    plan = build_plan(MIXED, CorrelationMatrix.filled(5, 0.1))
+    whole = sample_batch(plan, 64, seed=4).values.tobytes()
+    draw_piece = sampler._draw_piece
+    lock = threading.Lock()
+    running, peak, used = set(), [0], set()
+
+    def record(marginals, levels, scratch, out):
+        with lock:
+            assert id(scratch) not in running
+            running.add(id(scratch))
+            peak[0] = max(peak[0], len(running))
+            used.add(id(scratch))
+        u = scratch.u[:len(out)].copy()
+        time.sleep(0.005)  # room for a wrongly reloaded set to show
+        assert scratch.u[:len(out)].tobytes() == u.tobytes()
+        draw_piece(marginals, levels, scratch, out)
+        with lock:
+            running.remove(id(scratch))
+
+    monkeypatch.setattr(sampler, "_draw_piece", record)
+    monkeypatch.setattr(sampler, "CHUNK_ROWS", 4)
+    monkeypatch.setattr(sampler, "PIECE_ROWS", 5)
+    monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
+    assert sample_batch(plan, 64, seed=4).values.tobytes() == whole
+    assert 1 <= peak[0] <= cpus and len(used) == cpus
 
 
 def test_draw_scratch_does_not_grow_with_count(monkeypatch):
