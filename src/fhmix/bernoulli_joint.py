@@ -577,11 +577,8 @@ def quadrivariate_alpha_interval(conc: ConcurrenceMatrix) -> AlphaInterval:
     It is nonempty iff the four triangles pass the n = 3 test
     (:func:`violated_principal_submatrix`), and ``feasible`` is that test.
     """
-    (p1, p2, p3), (l12, l13, l23) = p, lams = _quad_system(conc)
-    # triangles {1,2,3}, {1,2,4}, {1,3,4}, {2,3,4}, summed as the screen sums them
-    triangles = ((l12, l13, l23), (l12, p1, p2), (l13, p1, p3), (l23, p2, p3))
-    return _three_coordinate_interval(
-        p, lams, all(_triangle_holds(a, b, c, min(a, b, c)) for a, b, c in triangles))
+    p, lams = _quad_system(conc)
+    return _three_coordinate_interval(p, lams, violated_principal_submatrix(conc) is None)
 
 
 def quadrivariate_pmf(conc: ConcurrenceMatrix, alpha: float) -> JointPMF:

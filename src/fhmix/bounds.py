@@ -104,10 +104,13 @@ def corr_extremes(mi: MarginalSpec, mj: MarginalSpec) -> CorrelationExtremes:
 def bernoulli_corr_extremes(p: float, q: float) -> CorrelationExtremes:
     """Closed-form correlation extremes for Bern(p) and Bern(q) marginals.
 
-    With denominator sqrt(p q (1-p)(1-q)):
+    The covariances min(p, q) - p q and max(0, p + q - 1) - p q over
+    sqrt(p q (1-p)(1-q)) reduce, for p <= q, to ratios with no difference
+    to cancel and no four-fold product to underflow at extreme p and q:
 
-        rho_minus = ((p + q - 1) * 1(p + q > 1) - p q) / denom
-        rho_plus  = (min(p, q) - p q) / denom
+        rho_plus  =  sqrt(p (1-q) / (q (1-p)))
+        rho_minus = -sqrt(p q / ((1-p)(1-q)))    if p <= 1 - q
+                    -sqrt((1-p)(1-q) / (p q))    otherwise
 
     Raises :class:`DegenerateMarginalError` if p or q is 0 or 1 (zero
     variance).
@@ -117,11 +120,13 @@ def bernoulli_corr_extremes(p: float, q: float) -> CorrelationExtremes:
             raise DegenerateMarginalError(
                 f"{name}={value} gives a zero-variance Bernoulli marginal"
             )
-    denom = math.sqrt(p * q * (1.0 - p) * (1.0 - q))
-    lower_e = (p + q - 1.0) if p + q > 1.0 else 0.0
-    rho_minus = _clip_corr((lower_e - p * q) / denom)
-    rho_plus = _clip_corr((min(p, q) - p * q) / denom)
-    return CorrelationExtremes(rho_minus, rho_plus, "closed_form")
+    p, q = min(p, q), max(p, q)
+    if p <= 1.0 - q:
+        rho_minus = -math.sqrt(p * q / ((1.0 - p) * (1.0 - q)))
+    else:
+        rho_minus = -math.sqrt((1.0 - p) * (1.0 - q) / (p * q))
+    rho_plus = math.sqrt(p * (1.0 - q) / (q * (1.0 - p)))
+    return CorrelationExtremes(_clip_corr(rho_minus), _clip_corr(rho_plus), "closed_form")
 
 
 def _standard_atoms(m: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:

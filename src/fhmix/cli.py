@@ -58,8 +58,8 @@ Z_LIMIT = 4.0
 # stand-in for an infinite z-score; keeps the verify report strict JSON
 Z_HUGE = 1e18
 #: rows drawn and written at a time by ``sample``, and the unit of work
-#: handed to a formatting worker: bounds the CSV text held per write, a
-#: smaller block than the sampler's chunk, so drawing a block starts no thread
+#: handed to a formatting worker: bounds the CSV text held per write, and is
+#: at most the sampler's ``PIECE_ROWS``, so drawing a block starts no thread
 CHUNK_ROWS = 1 << 14
 
 @dataclass(frozen=True)
@@ -319,9 +319,10 @@ def _write_on_pool(out, blocks, workers: int) -> None:
 
     Forked, not spawned: a spawned worker would import numpy and scipy
     again, which takes nearly as long as formatting 300000 rows of four
-    values in one process (0.6-0.7 s against 0.8-0.9 s).  The pool
-    is forked before the first draw, and a block is at most the sampler's
-    one-piece size, so its draw starts no thread to be copied.  OpenBLAS
+    values in one process (0.6-0.7 s against 0.8-0.9 s).  The pool is
+    forked before the first draw, and a block is at most the sampler's
+    ``PIECE_ROWS``, one piece drawn on the calling thread, so its draw
+    starts no thread to be copied.  OpenBLAS
     keeps idle threads unless OPENBLAS_NUM_THREADS=1, for which Python
     3.12+ warns that forking is deprecated; the children only format text
     and take no lock those threads hold.  They inherit every descriptor of

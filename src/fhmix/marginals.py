@@ -32,6 +32,9 @@ _FAMILY_FIELDS = {
 FAMILIES = tuple(_FAMILY_FIELDS)
 
 _WEIGHT_SUM_TOL = 1e-12
+#: the smallest and largest arguments a draw passes to a quantile
+_EXTREME_U = np.array([2.0 ** -53, 1.0 - 2.0 ** -53])
+_EXTREME_U.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,13 @@ class MarginalSpec:
     Construct via the family classmethods (``MarginalSpec.uniform(0, 1)``,
     ``MarginalSpec.exponential(2.0)``, ...) rather than positionally; the
     constructor validates family-specific parameter domains.
+
+    Finite parameters can still overflow (``b - a`` of a uniform, ``1/rate``,
+    ``sd`` times a normal's tail quantile, an empirical's spread), so a spec
+    whose mean, sd or quantile at 2^-53 or 1 - 2^-53, the extreme arguments
+    of a draw, is not finite is rejected.  Scale-robust formulas would accept
+    more of them, but would change the bytes drawn for every uniform and
+    normal column.
 
     Instances are immutable and hashable, safe to share across threads.
     """
@@ -60,6 +70,12 @@ class MarginalSpec:
             raise InvalidMarginalError(
                 f"{self.family} params must be ({', '.join(names)}), got {self.params}")
         getattr(self, f"_check_{self.family}")()
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            extremes = (*moments(self), *_quantile_into(self, _EXTREME_U, np.empty(2)).tolist())
+        if not all(map(math.isfinite, extremes)):
+            raise InvalidMarginalError(
+                f"{self} overflows: mean {extremes[0]}, sd {extremes[1]}, quantiles at "
+                f"2^-53 and 1 - 2^-53 {extremes[2]} and {extremes[3]}")
 
     # -- constructors -------------------------------------------------------
 

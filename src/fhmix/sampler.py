@@ -31,8 +31,8 @@ which coordinates ride it forwards or backwards.  Each row draws its own U and
 then the uniform that picks B, so a batch of k rows is the first k rows of any
 longer batch, and ``fhmix sample`` streams chunks through the same code.
 
-A batch of at most ``CHUNK_ROWS`` rows is evaluated as one piece on the
-calling thread.  A larger batch is cut into pieces of ``PIECE_ROWS`` rows
+A batch of at most ``PIECE_ROWS`` rows is evaluated as one piece on the
+calling thread.  A longer batch is cut into pieces of ``PIECE_ROWS`` rows
 and evaluated on a pool of worker threads, one per CPU this process may run
 on (at most one per piece); the pool lives for one call, so importing
 starts no thread.  Rows are independent once their uniforms are drawn, and
@@ -89,13 +89,8 @@ from .oracle import FLOAT_TOL, MAX_DIMENSION, lp_feasible
 
 #: slack when checking a target correlation against its extremes
 RHO_SLACK = 1e-9
-#: largest batch drawn as one piece on the calling thread; its temporaries
-#: take ~20 MiB.  Single-threaded pieces that fit a 2 MiB L2 drew faster,
-#: but their timings swung with the machine's speed far more, enough to fail
-#: the linear-time acceptance test, so batches up to this size (every
-#: ``fhmix sample`` block among them) keep the one-piece path
-CHUNK_ROWS = 2 ** 18
-#: rows per piece of a larger batch, drawn on the worker threads; a worker's
+#: rows per piece: a batch of at most this many rows is one piece on the
+#: calling thread, a longer one is drawn in pieces on the worker threads; a
 #: scratch set takes ~4 MiB.  On 2 cores, 10^6 rows at n = 12 drew 1.9x as
 #: fast as on one thread in pieces of 2^16 rows, 1.6-1.85x in pieces of
 #: 2^14, 2^15 or 2^18 rows
@@ -370,7 +365,7 @@ def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> n
         if m.family == "empirical":
             m._levels
     out = np.empty((count, plan.n))
-    if count <= CHUNK_ROWS:
+    if count <= PIECE_ROWS:
         _draw_piece(plan.marginals, levels, _Scratch(count).load(rng, count), out)
         return out
     starts = range(0, count, PIECE_ROWS)

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,6 +104,46 @@ def test_bernoulli_extremes_vs_enumeration_oracle():
 def test_bernoulli_degenerate_rejected(p, q):
     with pytest.raises(DegenerateMarginalError):
         bernoulli_corr_extremes(p, q)
+
+
+_EXTREME_P = [1e-300, 1e-170, 1e-160, 1e-77, 1e-9, 0.3, 0.5, 0.7, 1 - 1e-9, 1 - 1e-16]
+
+
+def _exact_bernoulli_extremes(p: float, q: float) -> tuple[Decimal, Decimal]:
+    """Covariance over the sd product, exact in fractions up to one
+    60-digit square root."""
+    p, q = Fraction(p), Fraction(q)
+    var = p * (1 - p) * q * (1 - q)
+
+    def corr(cov: Fraction) -> Decimal:
+        square = cov * cov / var
+        with localcontext() as ctx:
+            ctx.prec = 60
+            r = (Decimal(square.numerator) / square.denominator).sqrt()
+        return r if cov >= 0 else -r
+
+    return corr(max(Fraction(0), p + q - 1) - p * q), corr(min(p, q) - p * q)
+
+
+@pytest.mark.parametrize("q", _EXTREME_P)
+@pytest.mark.parametrize("p", _EXTREME_P)
+def test_bernoulli_extremes_at_extreme_p(p, q):
+    # no difference of products cancels and no sd product underflows: within
+    # one ulp of 1 of the exact value, even where the product p q (1-p)(1-q)
+    # is below the smallest double
+    ext = bernoulli_corr_extremes(p, q)
+    lo, hi = _exact_bernoulli_extremes(p, q)
+    assert abs(Decimal(ext.rho_minus) - lo) <= Decimal(2.2e-16)
+    assert abs(Decimal(ext.rho_plus) - hi) <= Decimal(2.2e-16)
+    assert ext == bernoulli_corr_extremes(q, p)
+
+
+def test_bernoulli_extremes_keep_their_sign_near_one():
+    # (p + q - 1) - p q cancelled here to rho_minus = +1.05e-8
+    ext = bernoulli_corr_extremes(0.5, 1 - 1e-16)
+    assert ext.rho_minus == pytest.approx(-1.0536712127723509e-08, rel=1e-15)
+    assert ext.rho_plus == pytest.approx(1.0536712127723509e-08, rel=1e-15)
+    assert not ext.degenerate
 
 
 def test_closed_form_agrees_with_quadrature():

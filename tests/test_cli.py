@@ -165,6 +165,17 @@ def test_bounds_mixed_pair_below_one(tmp_path, capsys):
     assert rho_plus < 1.0
 
 
+def test_bounds_of_a_tiny_bernoulli_pair(tmp_path, capsys):
+    # p q (1-p)(1-q) underflows to 0 here; the extremes need no such product
+    doc = exp_pair()
+    doc["marginals"] = [{"family": "bernoulli", "p": 1e-170}] * 2
+    path = write_config(tmp_path, doc)
+    assert main(["bounds", "--config", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines()[1] == "1,2,-0.000000,1.000000"
+    assert captured.err == ""
+
+
 def test_plan_command_feasible(tmp_path, capsys):
     doc = {
         "marginals": [{"family": "uniform", "a": 0.0, "b": 1.0}] * 4,
@@ -423,6 +434,14 @@ def test_non_string_family_is_usage_error(tmp_path, capsys):
     assert "unknown family ['uniform']" in capsys.readouterr().err
 
 
+def test_a_marginal_that_overflows_is_usage_error(tmp_path, capsys):
+    doc = exp_pair()
+    doc["marginals"][0] = {"family": "uniform", "a": -1e308, "b": 1e308}
+    path = write_config(tmp_path, doc)
+    assert main(["sample", "--config", path]) == 2
+    assert "marginal 1: uniform(-1e+308, 1e+308) overflows" in capsys.readouterr().err
+
+
 def test_other_library_errors_exit_one_without_traceback(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise NumericalError("simplex ended on a wrong basis")
@@ -504,7 +523,7 @@ def pool_runs(monkeypatch):
 def test_pool_writes_the_rows_of_sample_batch(tmp_path, monkeypatch, streams):
     # several blocks per stream and a short last one, formatted on three
     # forked workers and, with one CPU, on the calling thread
-    assert cli.CHUNK_ROWS <= sampler.CHUNK_ROWS  # so drawing a block starts no thread
+    assert cli.CHUNK_ROWS <= sampler.PIECE_ROWS  # so drawing a block starts no thread
     count = 3 * cli.CHUNK_ROWS + 17
     path = write_config(tmp_path, n4_job(count, streams))
     runs = pool_runs(monkeypatch)

@@ -134,6 +134,21 @@ def test_invalid_marginals_rejected(make):
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MarginalSpec.uniform(-1e308, 1e308),  # b - a is inf: every draw is inf
+        lambda: MarginalSpec.exponential(1e-320),     # 1/rate is inf
+        lambda: MarginalSpec.normal(0.0, 1e308),      # the tails draw inf
+        lambda: MarginalSpec.empirical([-1e308, 1e308]),  # its spread is inf
+    ],
+)
+def test_marginals_that_overflow_are_rejected(make):
+    # finite parameters, but a mean, sd or extreme quantile that is not
+    with pytest.raises(InvalidMarginalError, match="overflows"):
+        make()
+
+
+@pytest.mark.parametrize(
     "values,weights",
     [
         ((1.0, 0.0), (0.9, 0.9)),             # decreasing values

@@ -520,8 +520,28 @@ def test_batch_is_a_prefix_of_any_longer_batch():
 def test_draw_chunk_size_does_not_change_the_bytes(monkeypatch):
     plan = build_plan(MIXED, CorrelationMatrix.filled(5, 0.1))
     whole = sample_batch(plan, 1000, seed=3).values
-    monkeypatch.setattr(sampler, "CHUNK_ROWS", 7)
+    monkeypatch.setattr(sampler, "PIECE_ROWS", 7)
     assert sample_batch(plan, 1000, seed=3).values.tobytes() == whole.tobytes()
+
+
+def test_one_row_past_a_piece_is_drawn_in_pieces(monkeypatch):
+    # one piece size decides the layout: PIECE_ROWS + 1 rows are two pieces
+    # on the worker threads, with the bytes of the two batches in turn
+    plan = build_plan(MIXED, CorrelationMatrix.filled(5, 0.1))
+    rows = sampler.PIECE_ROWS
+    rng = _generator(6, 1)
+    parts = np.concatenate([_batch_values(plan, rows, rng), _batch_values(plan, 1, rng)])
+    draw_piece = sampler._draw_piece
+    sizes = []
+
+    def record(marginals, levels, scratch, out):
+        sizes.append(len(out))
+        draw_piece(marginals, levels, scratch, out)
+
+    monkeypatch.setattr(sampler, "_draw_piece", record)
+    whole = sample_batch(plan, rows + 1, seed=6, stream_id=1).values
+    assert sorted(sizes) == [1, rows]
+    assert whole.tobytes() == parts.tobytes()
 
 
 def test_threaded_pieces_keep_the_bytes(monkeypatch):
@@ -531,7 +551,6 @@ def test_threaded_pieces_keep_the_bytes(monkeypatch):
     counts = [4, 5, 6, 9, 10, 11, 64, 401]
     whole = {c: sample_batch(plan, c, seed=8, stream_id=2).values.tobytes() for c in counts}
     cores = sampler._cpus()
-    monkeypatch.setattr(sampler, "CHUNK_ROWS", 4)
     monkeypatch.setattr(sampler, "PIECE_ROWS", 5)
     monkeypatch.setattr(sampler, "_cpus", lambda: cores + 3)
     pieces = {}
@@ -569,7 +588,6 @@ def test_a_failing_piece_raises_once_the_others_finish(monkeypatch):
         draw_piece(marginals, levels, scratch, out)
 
     monkeypatch.setattr(sampler, "_draw_piece", fail_third)
-    monkeypatch.setattr(sampler, "CHUNK_ROWS", 4)
     monkeypatch.setattr(sampler, "PIECE_ROWS", 5)
     monkeypatch.setattr(sampler, "_cpus", lambda: 1)
     raised = []
@@ -611,7 +629,6 @@ def test_pieces_in_flight_are_bounded_by_the_workers(monkeypatch, cpus):
             running.remove(id(scratch))
 
     monkeypatch.setattr(sampler, "_draw_piece", record)
-    monkeypatch.setattr(sampler, "CHUNK_ROWS", 4)
     monkeypatch.setattr(sampler, "PIECE_ROWS", 5)
     monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
     assert sample_batch(plan, 64, seed=4).values.tobytes() == whole
@@ -623,11 +640,11 @@ def test_draw_scratch_does_not_grow_with_count(monkeypatch):
     # output does not grow with the batch
     monkeypatch.setattr(sampler, "_cpus", lambda: 2)
     plan = build_plan([UNIFORM, MIXED[4]], CorrelationMatrix.filled(2, 0.1))
-    sample_batch(plan, 2 * sampler.CHUNK_ROWS, seed=1)
+    sample_batch(plan, 2 * sampler.PIECE_ROWS, seed=1)
     scratch = {}
     tracemalloc.start()
     try:
-        for count in (2 * sampler.CHUNK_ROWS, 8 * sampler.CHUNK_ROWS):
+        for count in (2 * sampler.PIECE_ROWS, 8 * sampler.PIECE_ROWS):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             batch = sample_batch(plan, count, seed=1)
@@ -635,7 +652,7 @@ def test_draw_scratch_does_not_grow_with_count(monkeypatch):
             del batch
     finally:
         tracemalloc.stop()
-    assert scratch[8 * sampler.CHUNK_ROWS] <= 1.25 * scratch[2 * sampler.CHUNK_ROWS]
+    assert scratch[8 * sampler.PIECE_ROWS] <= 1.25 * scratch[2 * sampler.PIECE_ROWS]
 
 
 def test_a_piece_allocates_no_column(monkeypatch):
