@@ -30,8 +30,7 @@ from the closed-form reduced pmf, and every n >= 5 recipe from an LP
 witness of the reduced system (:mod:`fhmix.sampler`).
 
 For n >= 5, ``violated_principal_submatrix`` screens every 3-subset with
-the n = 3 test, as array arithmetic over all subsets at once; the n = 4
-test would add nothing to it.
+the n = 3 test, one subset at a time; the n = 4 test would add nothing to it.
 
 Every pmf here answers one linear system, ``_constraint_system``, which the
 LP of :mod:`fhmix.oracle` solves too: total mass, marginals P(B_i = 1) and
@@ -460,11 +459,11 @@ def _three_coordinate_pmf(p, lams, alpha: float, prefix: str) -> JointPMF:
     return pmf
 
 
-def _triangle_holds(a, b, c, m):
-    """1 - 1e-12 <= a + b + c <= 1 + 2*m + 1e-12: the n = 3 test on
-    concurrences a, b, c whose smallest is m (scalars or arrays)."""
+def _triangle_holds(a: float, b: float, c: float) -> bool:
+    """1 - 1e-12 <= a + b + c <= 1 + 2*min(a, b, c) + 1e-12: the n = 3 test on
+    concurrences a, b, c."""
     s = a + b + c
-    return (1.0 - FEAS_TOL <= s) & (s <= 1.0 + 2.0 * m + FEAS_TOL)
+    return 1.0 - FEAS_TOL <= s <= 1.0 + 2.0 * min(a, b, c) + FEAS_TOL
 
 
 def _sum_bound_failure(l12: float, l13: float, l23: float) -> str:
@@ -485,7 +484,7 @@ def _fair_lambdas(lam12: float, lam13: float, lam23: float) -> tuple[float, floa
 def trivariate_feasible(lam12: float, lam13: float, lam23: float) -> bool:
     """Existence test for a fair-coin triple with the given concurrences:
     1 <= lam12 + lam13 + lam23 <= 1 + 2*min(lam12, lam13, lam23)."""
-    return trivariate_alpha_interval(lam12, lam13, lam23).feasible
+    return _triangle_holds(*_fair_lambdas(lam12, lam13, lam23))
 
 
 def trivariate_alpha_interval(lam12: float, lam13: float, lam23: float) -> AlphaInterval:
@@ -496,7 +495,7 @@ def trivariate_alpha_interval(lam12: float, lam13: float, lam23: float) -> Alpha
     with every l_i4 = 1/2).  ``feasible`` is the triangle test of the triple.
     """
     lams = _fair_lambdas(lam12, lam13, lam23)
-    return _three_coordinate_interval((0.5,) * 3, lams, _triangle_holds(*lams, min(lams)))
+    return _three_coordinate_interval((0.5,) * 3, lams, _triangle_holds(*lams))
 
 
 def trivariate_pmf(lam12: float, lam13: float, lam23: float, alpha: float) -> JointPMF:
@@ -647,10 +646,9 @@ def violated_principal_submatrix(conc: ConcurrenceMatrix) -> tuple[int, ...] | N
 
     The n = 3 characterization is a necessary condition in any dimension, so
     a hit proves the full matrix infeasible.  Returns 0-based indices, or
-    None when every subset passes.  Every 3-subset is tested at once, in
-    ``itertools.combinations`` order, by the expression
-    :func:`trivariate_feasible` evaluates, so each verdict is its verdict
-    bit for bit.
+    None when every subset passes.  The 3-subsets are tested in turn, in
+    ``itertools.combinations`` order, by :func:`trivariate_feasible`'s test,
+    ``_triangle_holds``.
 
     4-subsets need no pass of their own.  With lo = 0 the interval of
     :func:`quadrivariate_alpha_interval` is empty iff a triangle sum s_T < 1,
@@ -662,19 +660,8 @@ def violated_principal_submatrix(conc: ConcurrenceMatrix) -> tuple[int, ...] | N
     the 12 (triangle, edge) pairs, so the n = 4 test is the n = 3 test of
     the four triangles.
     """
-    e = conc.entries
-    i, j, k = _subsets(conc.n, 3).T
-    l12, l13, l23 = e[i, j], e[i, k], e[j, k]
-    ok = _triangle_holds(l12, l13, l23, np.minimum(np.minimum(l12, l13), l23))
-    if not ok.all():
-        return tuple(int(v) for v in _subsets(conc.n, 3)[ok.argmin()])
+    e = conc.entries.tolist()
+    for i, j, k in itertools.combinations(range(conc.n), 3):
+        if not _triangle_holds(e[i][j], e[i][k], e[j][k]):
+            return i, j, k
     return None
-
-
-@functools.cache
-def _subsets(n: int, k: int) -> np.ndarray:
-    """``itertools.combinations(range(n), k)`` as a read-only (count, k)
-    index array."""
-    out = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
-    out.flags.writeable = False
-    return out

@@ -7,10 +7,12 @@ They are attained by inverse-transform coupling through one uniform U:
 
 Correlation ignores location and scale, so both are integrals of products of
 standardized quantiles q(u) = (F^{-1}(u) - mu) / sigma, exact through the
-elementary primitives G(u) = int_0^u q of every family.  Two continuous
-families give a shape constant (Demirtas & Hedeker 2011).  The
-normal/exponential one, int phi^2 / (1 - Phi), has no elementary form and is
-written out to double precision from a 40-digit mpmath value.
+elementary primitives G(u) = int_0^u q of every family.  A discrete
+marginal's breakpoints are read from the nearer end, so tiny masses in its
+tails stay exact.  Two continuous families give a shape constant (Demirtas &
+Hedeker 2011).  The normal/exponential one, int phi^2 / (1 - Phi), has no
+elementary form and is written out to double precision from a 40-digit
+mpmath value.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri, xlogy
+from scipy.special import ndtri, xlog1py, xlogy
 
 from .errors import DegenerateMarginalError, NumericalError
-from .marginals import MarginalSpec, _empirical_cum_weights, _empirical_standardization
+from .marginals import MarginalSpec, _empirical_standardization
 # ``quantile`` stays importable from here: bench/tracing.py wraps it by name
 from .marginals import quantile  # noqa: F401
 
@@ -89,11 +91,12 @@ def corr_extremes(mi: MarginalSpec, mj: MarginalSpec) -> CorrelationExtremes:
     if a.family not in _DISCRETE:  # discrete families sort first
         return CorrelationExtremes(*_SHAPE_EXTREMES[a.family, b.family], "closed_form")
 
-    z, c = _standard_atoms(a)
-    # Q_a = z[k] on (c[k], c[k + 1]], where q_b(1 - u) integrates q_b over [1 - c[k + 1], 1 - c[k])
-    g_plus, g_minus = _primitive(b, np.stack((c, 1.0 - c)))
-    rho_plus = _clip_corr(float(z @ np.diff(g_plus)))
-    rho_minus = _clip_corr(-float(z @ np.diff(g_minus)))
+    z, w = _standard_atoms(a)
+    u, v = _breakpoints(w)
+    # Q_a = z[k] on (u[k], u[k + 1]], where q_b(1 - u) integrates q_b over the mirrored
+    # breakpoints, (v[k + 1], v[k]]
+    rho_plus = _clip_corr(float(z @ np.diff(_primitive(b, u, v))))
+    rho_minus = _clip_corr(-float(z @ np.diff(_primitive(b, v, u))))
     if rho_minus > rho_plus:
         if rho_minus - rho_plus > 1e-9:
             raise NumericalError(f"rho_minus={rho_minus} exceeds rho_plus={rho_plus}")
@@ -130,29 +133,51 @@ def bernoulli_corr_extremes(p: float, q: float) -> CorrelationExtremes:
 
 
 def _standard_atoms(m: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized atoms z of a discrete marginal and its breakpoints
-    c = [0, ..., 1]: the quantile is z[k] on u in (c[k], c[k + 1]]."""
+    """Standardized atoms z of a discrete marginal and their weights."""
     if m.family == "bernoulli":
         (p,) = m.params
-        return np.array([-p, 1.0 - p]) / math.sqrt(p * (1.0 - p)), np.array([0.0, 1.0 - p, 1.0])
+        return np.array([-p, 1.0 - p]) / math.sqrt(p * (1.0 - p)), np.array([1.0 - p, p])
     _, sd, d = _empirical_standardization(m)
-    return d / sd, np.concatenate(([0.0], _empirical_cum_weights(m)))
+    return d / sd, np.asarray(m.weights)
 
 
-def _primitive(m: MarginalSpec, u: np.ndarray) -> np.ndarray:
-    """G(u) = int_0^u q, with G(0) = G(1) = 0, of the standardized quantile q of m."""
-    if m.family in _DISCRETE:  # piecewise linear between the breakpoints
-        z, c = _standard_atoms(m)
-        return np.interp(u, c, np.concatenate(([0.0], np.cumsum(z * np.diff(c)))))
+def _sides(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mass to the left and to the right of each breakpoint of atoms with
+    weights w, each summed from its own end, so that it is exact where it is small."""
+    return (np.concatenate(([0.0], np.cumsum(w))),
+            np.concatenate((np.cumsum(w[::-1])[::-1], [0.0])))
+
+
+def _breakpoints(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints u = [0, ..., 1] of atoms with weights w, and v = 1 - u: each
+    keeps the smaller of its two sides as summed, and the other is 1 minus it."""
+    left, right = _sides(w)
+    small = left <= right
+    return np.where(small, left, 1.0 - right), np.where(small, 1.0 - left, right)
+
+
+def _primitive(m: MarginalSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G(u) = int_0^u q, with G(0) = G(1) = 0, of the standardized quantile q of m,
+    at points given as u and v = 1 - u, the smaller of which is exact."""
+    if m.family in _DISCRETE:  # piecewise linear between the breakpoints, from the nearer end
+        z, w = _standard_atoms(m)
+        left, right = _sides(w)
+        zw = z * w
+        g_left = np.concatenate(([0.0], np.cumsum(zw)))
+        g_right = -np.concatenate((np.cumsum(zw[::-1])[::-1], [0.0]))
+        return np.where(u <= v, np.interp(u, left, g_left),
+                        np.interp(v, right[::-1], g_right[::-1]))
     if m.family == "uniform":  # q(u) = sqrt(3) (2u - 1)
-        return -math.sqrt(3.0) * u * (1.0 - u)
-    if m.family == "exponential":  # q(u) = -log(1 - u) - 1
-        return xlogy(1.0 - u, 1.0 - u)
-    z = ndtri(np.minimum(u, 1.0 - u))  # normal: G(u) = -phi(Phi^-1(u)), even about 1/2
+        return -math.sqrt(3.0) * u * v
+    if m.family == "exponential":  # q(u) = -log(1 - u) - 1, so G = v log v
+        return np.where(u <= v, xlog1py(v, -u), xlogy(v, v))
+    z = ndtri(np.minimum(u, v))  # normal: G(u) = -phi(Phi^-1(u)), even about 1/2
     return -np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def _clip_corr(x: float) -> float:
+    if math.isnan(x):
+        raise NumericalError("a correlation extreme evaluated to NaN")
     return min(1.0, max(-1.0, x))
 
 

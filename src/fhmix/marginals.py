@@ -266,7 +266,7 @@ def quantile_jumps(m: MarginalSpec) -> tuple[float, ...]:
     """
     if m.family == "bernoulli":
         (p,) = m.params
-        return (1.0 - p,)
+        return (1.0 - p,) if 1.0 - p < 1.0 else ()
     if m.family == "empirical":
         cumw = _empirical_cum_weights(m)
         return tuple(float(c) for c in cumw[:-1] if 0.0 < c < 1.0)

@@ -1,7 +1,6 @@
 import itertools
 import math
 from datetime import timedelta
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -635,6 +634,16 @@ def test_violated_submatrix_detection():
     assert violated_principal_submatrix(ConcurrenceMatrix.filled(5, 0.5)) is None
 
 
+def test_a_plan_names_the_principal_submatrix_the_screen_rejects():
+    # triangle (1, 3, 5) sums to 0.9 < 1; at n >= 5 the screen decides before the LP
+    conc = ConcurrenceMatrix.from_lower_triangle(
+        [0.5, 0.3, 0.5, 0.5, 0.5, 0.5, 0.3, 0.5, 0.3, 0.5], 5)
+    plan = build_plan_from_concurrence([MarginalSpec.bernoulli(0.5)] * 5, conc)
+    assert not plan.feasible
+    assert plan.diagnostics == ("infeasible concurrence matrix: principal submatrix on "
+                                "coordinates (1, 3, 5) fails its closed-form existence test")
+
+
 def test_necessity_propagates_to_feasible_high_dimensional_matrices():
     # any concurrence matrix realized by an actual law passes every 3- and
     # 4-dimensional closed-form test
@@ -648,55 +657,157 @@ def test_necessity_propagates_to_feasible_high_dimensional_matrices():
             assert violated_principal_submatrix(conc) is None
 
 
-def _screen_by_loop(conc):
-    e = conc.entries
-    for tri in itertools.combinations(range(conc.n), 3):
-        i, j, k = tri
-        if not trivariate_feasible(e[i, j], e[i, k], e[j, k]):
-            return tri
-    for quad in itertools.combinations(range(conc.n), 4):
-        if not quadrivariate_alpha_interval(conc.submatrix(quad)).feasible:
-            return quad
-    return None
+def _exactly(values: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """``values @ forms.T`` for forms with coefficients -1, 0, 1 on values in
+    [0, 1], of shape (count, ..., k): each entry has the sign of the exact
+    value, and is that value correctly rounded where it is under 1e-11 in
+    size.  Where ``values[m]`` holds multiples of 2^-49 only, its sums are
+    exact, as every partial sum is such a multiple under 8 in size.
+    Elsewhere a float sum of at most 7 terms is off by less than 1e-14, and
+    ``math.fsum`` recomputes the small entries."""
+    out = values @ forms.T
+    scaled = values * 2.0 ** 49
+    for m in np.flatnonzero(np.any(scaled != np.rint(scaled), axis=tuple(range(1, values.ndim)))):
+        for *head, r in zip(*np.nonzero(np.abs(out[m]) < 1e-11)):
+            out[(m, *head, r)] = math.fsum(values[(m, *head)] * forms[r])
+    return out
 
 
-@st.composite
-def screen_inputs(draw):
-    """Random and dyadic entries, and concurrences of sparse fair-coin laws:
-    on faces of the feasible set, moved off them by multiples of 1/64 or of
-    5e-13 (inside and outside the 1e-12 slack)."""
-    n = draw(st.integers(3, 9))
-    kind = draw(st.sampled_from(["random", "dyadic", "law", "law+1/64", "law+5e-13"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+#: 1 <= a + b + c and a + b + c - 2x <= 1 for each x of a triangle (a, b, c),
+#: as forms on (a, b, c, 1) that are >= 0 where the triangle holds
+_TRIANGLE_FORMS = np.array([[1, 1, 1, -1], [1, -1, -1, 1], [-1, 1, -1, 1], [-1, -1, 1, 1]])
+
+
+def _triangle_slacks(e: np.ndarray) -> np.ndarray:
+    """The slack of 1 <= a + b + c <= 1 + 2*min of each triangle, in
+    combinations order, of each matrix of the stack ``e`` (count, n, n), by
+    :func:`_exactly`."""
+    i, j, k = np.array(list(itertools.combinations(range(e.shape[-1]), 3))).T
+    edges = np.stack([e[..., i, j], e[..., i, k], e[..., j, k], np.ones(e[..., i, j].shape)],
+                     axis=-1)
+    return _exactly(edges, _TRIANGLE_FORMS).min(axis=-1)
+
+
+def _exact_triangle_slack(e: np.ndarray) -> float:
+    """Smallest slack of 1 <= a + b + c <= 1 + 2*min over the triangles of
+    ``e``, exact in sign on its float entries, and correctly rounded under
+    1e-11."""
+    return float(_triangle_slacks(np.asarray(e, dtype=float)[None]).min())
+
+
+def _alpha_pair_forms() -> np.ndarray:
+    """Twice the sum at alpha = 0 of each atom that falls with alpha = P(X =
+    111) and each that rises, among the eight atoms of a 4-subset's reduced
+    system (X_i = 1(B_i = B_4)), as integer forms on (l14, l24, l34, l12,
+    l13, l23, 1).  The alpha interval is nonempty iff every such sum is >= 0.
+    The atoms are read off the dense solve in helpers."""
+    def atoms(b, alpha=0.0):
+        return solve_three_coordinate_system(b[:3], b[3:], alpha)
+
+    base = atoms(np.zeros(6))
+    forms = np.column_stack([atoms(unit) - base for unit in np.eye(6)] + [base])
+    move = atoms(np.zeros(6), 1.0) - base
+    forms, move = np.rint(2.0 * forms), np.rint(move)
+    assert np.all(np.abs(move) == 1.0)
+    return (forms[move < 0][:, None] + forms[move > 0][None]).reshape(-1, 7)
+
+
+_ALPHA_PAIR_FORMS = _alpha_pair_forms()
+#: the first failing triangle is less than 1e-11 outside its face, where the
+#: screen's 1e-12 slack may admit what exact arithmetic rejects
+_NEAR = "near"
+
+
+def _screen_reference(e: np.ndarray) -> list:
+    """For each (n, n) matrix of the stack ``e``: the first 3-subset, in
+    combinations order, whose triangle test fails in exact arithmetic, else
+    the first 4-subset whose alpha interval is empty, else None (or
+    ``_NEAR``).  Independent of the screen and of ``_triangle_holds``."""
+    n = e.shape[-1]
+    tri = list(itertools.combinations(range(n), 3))
+    quad = list(itertools.combinations(range(n), 4))
+    slacks = _triangle_slacks(e)
+    first = (slacks < 0.0).argmax(axis=1)
+    slacks = slacks[np.arange(len(e)), first]  # of the first failing triangle, if any
+    a, b, c, w = np.array(quad, dtype=int).reshape(-1, 4).T
+    x = e[slacks >= 0.0]
+    edges = np.stack([x[:, a, w], x[:, b, w], x[:, c, w], x[:, a, b], x[:, a, c], x[:, b, c],
+                      np.ones(x[:, a, w].shape)], axis=-1)
+    empty = np.column_stack([(_exactly(edges, _ALPHA_PAIR_FORMS) < 0.0).any(axis=-1),
+                             np.ones(len(x), bool)])
+    empty = iter(empty.argmax(axis=1).tolist())
+    out = []
+    for t, slack in zip(first.tolist(), slacks.tolist()):
+        if slack < 0.0:
+            out.append(tri[t] if slack <= -1e-11 else _NEAR)
+        else:
+            q = next(empty)
+            out.append(quad[q] if q < len(quad) else None)
+    return out
+
+
+def _assert_screen_matches(e: np.ndarray) -> int:
+    """Screen each matrix of the stack ``e`` and compare with the reference;
+    returns how many were compared."""
+    compared = 0
+    for x, expected in zip(e, _screen_reference(e)):
+        if expected is _NEAR:
+            continue
+        got = violated_principal_submatrix(ConcurrenceMatrix(x))
+        assert got == expected, x
+        assert got is None or all(type(v) is int for v in got)
+        compared += 1
+    return compared
+
+
+def _screen_batch(rng: np.random.Generator, n: int, kind: str, count: int) -> np.ndarray:
+    """``count`` concurrence matrices of one kind, as a (count, n, n) stack:
+    uniform or dyadic entries, or the concurrences of complement-symmetric
+    laws.  A sparse law puts 1 to 16 draws of dyadic mass on atoms, so its
+    concurrences are exact and lie on faces; it may also be moved on about
+    30% of its entries, by up to 3 multiples of 1/64, or by up to 24 of 2^-41
+    (4.5e-13: inside and outside the 1e-12 slack and the 1e-11 band).  A
+    dense law lies inside."""
     if kind == "random":
-        e = rng.uniform(draw(st.sampled_from([0.0, 0.3])), 1.0, (n, n))
+        e = rng.uniform(rng.choice([0.0, 0.3], (count, 1, 1)), 1.0, (count, n, n))
     elif kind == "dyadic":
-        e = rng.integers(0, 9, (n, n)) / 8
+        e = rng.integers(0, 9, (count, n, n)) / 8
     else:
-        probs = np.zeros(2 ** n)
-        np.add.at(probs, rng.integers(0, 2 ** n, rng.integers(1, 2 * n)), 1.0)
-        law = JointPMF(n, (probs + probs[::-1]) / (2 * probs.sum()))
-        e = law.concurrence_matrix().entries.copy()
-        step = 1 / 64 if kind == "law+1/64" else 5e-13
-        e += step * rng.integers(-3, 4, (n, n)) * (rng.random((n, n)) < 0.3)
+        if kind == "dense":
+            probs = rng.random((count, 2 ** n))
+        else:
+            probs = np.zeros((count, 2 ** n))
+            atoms = 2 ** rng.integers(0, 5, (count, 1))
+            np.add.at(probs, (np.arange(count)[:, None], rng.integers(0, 2 ** n, (count, 16))),
+                      np.arange(16) < atoms)
+        probs = (probs + probs[:, ::-1]) / (2 * probs.sum(axis=1, keepdims=True))
+        bits = _bit_table(n)
+        agree = bits[:, :, None] == bits[:, None, :]
+        e = (probs @ agree.reshape(2 ** n, n * n)).reshape(count, n, n)
+        if kind != "law":
+            step, most = (2.0 ** -6, 3) if kind == "law+1/64" else (2.0 ** -41, 24)
+            e += step * rng.integers(-most, most + 1, e.shape) * (rng.random(e.shape) < 0.3)
     e = np.clip(np.triu(e, 1), 0.0, 1.0)
-    return ConcurrenceMatrix(e + e.T + np.eye(n))
+    return e + e.transpose(0, 2, 1) + np.eye(n)
+
+
+_SCREEN_KINDS = ("random", "dyadic", "law", "dense", "law+1/64", "law+2^-41")
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=5))
-@given(conc=screen_inputs())
-def test_screen_equals_the_closed_form_tests_in_combinations_order(conc):
-    assert violated_principal_submatrix(conc) == _screen_by_loop(conc)
+@given(n=st.integers(3, 9), kind=st.sampled_from(_SCREEN_KINDS), seed=st.integers(0, 2 ** 32 - 1))
+def test_screen_equals_the_closed_form_tests_in_combinations_order(n, kind, seed):
+    _assert_screen_matches(_screen_batch(np.random.default_rng(seed), n, kind, 1))
 
 
-def _exact_triangle_slack(e: np.ndarray) -> Fraction:
-    """Smallest slack of 1 <= a + b + c <= 1 + 2*min over the triangles of
-    ``e``, in exact arithmetic on its float entries."""
-    slacks = []
-    for i, j, k in itertools.combinations(range(len(e)), 3):
-        t = [Fraction(float(e[i, j])), Fraction(float(e[i, k])), Fraction(float(e[j, k]))]
-        slacks += [sum(t) - 1, 1 + 2 * min(t) - sum(t)]
-    return min(slacks)
+def test_screen_equals_an_exact_reference_on_many_matrices():
+    rng = np.random.default_rng(23)
+    compared = 0
+    for n in range(4, 13):
+        for kind in _SCREEN_KINDS:
+            for _ in range(9):
+                compared += _assert_screen_matches(_screen_batch(rng, n, kind, 250))
+    assert compared >= 100_000
 
 
 def test_one_verdict_at_the_faces_and_every_admitted_alpha_builds():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from fhmix import (
     CorrelationExtremes,
     DegenerateMarginalError,
     MarginalSpec,
+    NumericalError,
     bernoulli_corr_extremes,
     corr_extremes,
     moments,
     quantile,
 )
+from fhmix import bounds
 from helpers import corr_z, finite_sum_extremes, quad_corr_extremes
 
 NORMAL_EXPONENTIAL_RHO = 0.9031972855686253  # mpmath, 30 digits
@@ -144,6 +147,88 @@ def test_bernoulli_extremes_keep_their_sign_near_one():
     assert ext.rho_minus == pytest.approx(-1.0536712127723509e-08, rel=1e-15)
     assert ext.rho_plus == pytest.approx(1.0536712127723509e-08, rel=1e-15)
     assert not ext.degenerate
+
+
+# ---------------------------------------------------------------------------
+# tails of discrete marginals
+# ---------------------------------------------------------------------------
+
+def _bernoulli_continuous_extremes(p: float, family: str) -> tuple[float, float]:
+    """Closed forms for Bern(p) against a standard continuous marginal, over
+    s = sqrt(p(1-p)): the Bernoulli is 1 on the top (comonotone) or bottom
+    (antithetic) p of the uniform, so each extreme is +-G at p or 1 - p, with
+    G(u) = int_0^u q the primitive of the other's standardized quantile."""
+    s = math.sqrt(p * (1.0 - p))
+    if family == "uniform":
+        return -math.sqrt(3.0 * p * (1.0 - p)), math.sqrt(3.0 * p * (1.0 - p))
+    if family == "exponential":
+        return (1.0 - p) * math.log1p(-p) / s, -p * math.log(p) / s
+    std = NormalDist()
+    tail = std.pdf(std.inv_cdf(min(p, 1.0 - p))) / s
+    return -tail, tail
+
+
+_CONTINUOUS = {"uniform": MarginalSpec.uniform(0.0, 1.0),
+               "exponential": MarginalSpec.exponential(1.0),
+               "normal": MarginalSpec.normal(0.0, 1.0)}
+
+
+def test_bernoulli_against_continuous_extremes_in_both_tails():
+    # 1 - p rounds to 1.0 below p ~ 1.1e-16, and loses digits well above it:
+    # the breakpoint keeps p, its smaller side, exactly
+    for p in (0.3, 1e-9, 1e-16, 1e-17, 1e-300, 0.7, 1 - 1e-9, 1 - 2 ** -52):
+        for family, other in _CONTINUOUS.items():
+            lo, hi = _bernoulli_continuous_extremes(p, family)
+            for a, b in ((MarginalSpec.bernoulli(p), other), (other, MarginalSpec.bernoulli(p))):
+                ext = corr_extremes(a, b)
+                assert ext.rho_minus == pytest.approx(lo, rel=1e-12), (p, family)
+                assert ext.rho_plus == pytest.approx(hi, rel=1e-12), (p, family)
+
+
+# the first three weights sum to 1.0000000000000002 in floating point
+_PAST_ONE = MarginalSpec.empirical(
+    [0.0893, 0.1597, 0.5251, 0.8424],
+    [8.618954697957569e-12, 0.9999546319307553, 4.5368060625851226e-05, 1.6545968272165094e-18])
+
+
+@pytest.mark.parametrize("cont", [MarginalSpec.normal(0.3, 2.0), MarginalSpec.exponential(1.5)])
+def test_an_empirical_whose_running_weight_sum_passes_one(cont):
+    assert np.cumsum(_PAST_ONE.weights)[2] > 1.0
+    ext = corr_extremes(_PAST_ONE, cont)
+    lo, hi = finite_sum_extremes(_PAST_ONE, cont)
+    assert ext.rho_minus == pytest.approx(lo, abs=1e-12)
+    assert ext.rho_plus == pytest.approx(hi, abs=1e-12)
+    assert ext.rho_minus < 0.0 < ext.rho_plus
+
+
+def test_a_nan_extreme_raises_instead_of_clipping():
+    with pytest.raises(NumericalError, match="NaN"):
+        bounds._clip_corr(math.nan)
+
+
+@st.composite
+def tail_marginals(draw):
+    """Any family, with Bernoulli p log-uniform in [1e-300, 1 - 1e-16] (from
+    either end) and empirical weights 10^-30 .. 1."""
+    family = draw(st.sampled_from(["uniform", "exponential", "normal", "bernoulli", "empirical"]))
+    if family == "bernoulli":
+        if draw(st.booleans()):
+            return MarginalSpec.bernoulli(10.0 ** draw(st.floats(-300.0, -0.3)))
+        return MarginalSpec.bernoulli(1.0 - 10.0 ** draw(st.floats(-16.0, -0.3)))
+    if family == "empirical":
+        k = draw(st.integers(2, 5))
+        values = draw(st.lists(st.integers(-64, 64), min_size=k, max_size=k, unique=True))
+        weights = np.array([10.0 ** draw(st.floats(-30.0, 0.0)) for _ in range(k)])
+        return MarginalSpec.empirical([v / 8.0 for v in values], (weights / weights.sum()).tolist())
+    return _CONTINUOUS[family]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=tail_marginals(), b=tail_marginals())
+def test_extremes_keep_their_signs_in_the_tails(a, b):
+    ext = corr_extremes(a, b)
+    assert ext.rho_minus <= 0.0 <= ext.rho_plus
+    assert corr_extremes(b, a) == ext
 
 
 def test_closed_form_agrees_with_quadrature():

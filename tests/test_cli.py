@@ -225,6 +225,36 @@ def test_plan_command_on_a_concurrence_config(tmp_path, capsys):
     assert report["lambda"][0] == [1.0, 0.0, 0.0, 0.0]
 
 
+def test_plan_command_names_the_failing_principal_submatrix(tmp_path, capsys):
+    # five fair coins whose triangle (1, 3, 5) sums to 0.9; the screen finds it
+    doc = {
+        "marginals": [{"family": "bernoulli", "p": 0.5}] * 5,
+        "concurrence": [0.5, 0.3, 0.5, 0.5, 0.5, 0.5, 0.3, 0.5, 0.3, 0.5],
+    }
+    path = write_config(tmp_path, doc)
+    assert main(["plan", "--config", path]) == 1
+    captured = capsys.readouterr()
+    diagnostics = ("infeasible concurrence matrix: principal submatrix on coordinates "
+                   "(1, 3, 5) fails its closed-form existence test")
+    assert captured.err == diagnostics + "\n"
+    report = json.loads(captured.out)
+    assert report["feasible"] is False and report["diagnostics"] == diagnostics
+
+
+def test_bounds_of_an_empirical_whose_running_weight_sum_passes_one(tmp_path, capsys):
+    # the first three weights sum to 1.0000000000000002 in floating point
+    doc = exp_pair()
+    doc["marginals"][0] = {
+        "family": "empirical", "values": [0.0893, 0.1597, 0.5251, 0.8424],
+        "weights": [8.618954697957569e-12, 0.9999546319307553, 4.5368060625851226e-05,
+                    1.6545968272165094e-18]}
+    path = write_config(tmp_path, doc)
+    assert main(["bounds", "--config", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines()[1] == "1,2,-0.006736,0.067362"
+    assert captured.err == ""
+
+
 def test_explicit_alpha_at_n5_exits_one(tmp_path, capsys):
     doc = {
         "marginals": [{"family": "uniform", "a": 0.0, "b": 1.0}] * 5,

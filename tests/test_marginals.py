@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from fhmix import DomainError, InvalidMarginalError, MarginalSpec, moments, quantile
+from fhmix import DomainError, InvalidMarginalError, MarginalSpec, moments, quantile, quantile_jumps
 from fhmix.marginals import _quantile_into
 from helpers import KS_ALPHA, ks_pvalue, mean_z
 
@@ -252,6 +252,14 @@ def test_quantile_monotone():
     for m in ALL_FAMILIES:
         q = quantile(m, u)
         assert np.all(np.diff(q) >= 0.0), f"quantile not monotone for {m}"
+
+
+def test_quantile_jumps_are_interior():
+    # 1 - 1e-17 rounds to 1.0, which is no interior jump
+    assert quantile_jumps(MarginalSpec.bernoulli(1e-17)) == ()
+    assert quantile_jumps(MarginalSpec.bernoulli(1e-9)) == (1.0 - 1e-9,)
+    for m in ALL_FAMILIES:
+        assert all(0.0 < u < 1.0 for u in quantile_jumps(m))
 
 
 def test_quantile_transform_passes_ks():
