@@ -5,6 +5,10 @@ and report a sampling plan), ``sample`` (emit CSV), ``verify`` (check a CSV
 against the job's targets).  Exit codes: 0 success, 1 infeasible or failed
 verification or any other library error, 2 usage/parse errors.
 
+``sample`` draws, formats and writes ``CHUNK_ROWS`` rows at a time, in one
+process; each value's text is exactly its ``repr``, built for a whole block
+at once by :func:`fhmix.csvtext.csv_bytes`.
+
 Jobs are described by a JSON config file, e.g.::
 
     {
@@ -28,13 +32,10 @@ triangle row-major: [m21, m31, m32, m41, ...].
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import itertools
 import json
 import math
-import multiprocessing
-import signal
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -42,13 +43,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bernoulli_joint import ConcurrenceMatrix
+from .csvtext import csv_bytes
 from .errors import ConfigError, FhmixError
 from .marginals import _FAMILY_FIELDS, MarginalSpec, moments
 from .sampler import (
     CorrelationMatrix,
     SamplingPlan,
     _batch_values,
-    _cpus,
     _generator,
     build_plan,
     build_plan_from_concurrence,
@@ -57,9 +58,9 @@ from .sampler import (
 Z_LIMIT = 4.0
 # stand-in for an infinite z-score; keeps the verify report strict JSON
 Z_HUGE = 1e18
-#: rows drawn and written at a time by ``sample``, and the unit of work
-#: handed to a formatting worker: bounds the CSV text held per write, and is
-#: at most the sampler's ``PIECE_ROWS``, so drawing a block starts no thread
+#: rows drawn, formatted and written at a time by ``sample`` (and read at a
+#: time by ``verify``): bounds the rows and CSV text held at once, and is at
+#: most the sampler's ``PIECE_ROWS``, so drawing a block starts no thread
 CHUNK_ROWS = 1 << 14
 
 @dataclass(frozen=True)
@@ -234,6 +235,13 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _binary_output(path: str | None):
+    if path is None:
+        sys.stdout.flush()
+        return contextlib.nullcontext(sys.stdout.buffer)
+    return open(path, "wb")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -279,23 +287,16 @@ def cmd_plan(cfg: JobConfig, out_path: str | None) -> int:
 def cmd_sample(cfg: JobConfig, out_path: str | None) -> int:
     """Write the rows of ``sample_batch`` for each stream, CHUNK_ROWS at a time.
 
-    The blocks are drawn here, in row order.  With more than one block and
-    more than one CPU they are formatted on forked worker processes, one per
-    CPU, and written in order, so the bytes are those of the serial loop.
+    Each block is drawn, turned into its CSV bytes (each value's ``repr``,
+    :func:`fhmix.csvtext.csv_bytes`) and written, in row order.
     """
     plan = _feasible_plan(cfg)
     if plan is None:
         return 1
-    counts = _split_count(cfg.count, cfg.streams)
-    workers = min(_cpus(), sum(-(-c // CHUNK_ROWS) for c in counts))
-    with _output(out_path) as out:
-        out.write(",".join(f"x{i + 1}" for i in range(cfg.n)) + "\n")
-        blocks = _blocks(plan, cfg.seed, counts)
-        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-            _write_on_pool(out, blocks, workers)
-        else:
-            for block in blocks:
-                out.write(_csv_rows(block))
+    with _binary_output(out_path) as out:
+        out.write((",".join(f"x{i + 1}" for i in range(cfg.n)) + "\n").encode())
+        for block in _blocks(plan, cfg.seed, _split_count(cfg.count, cfg.streams)):
+            out.write(csv_bytes(block))
     return 0
 
 
@@ -305,46 +306,6 @@ def _blocks(plan: SamplingPlan, seed: int, counts: list[int]):
         rng = _generator(seed, stream_id)
         for start in range(0, c, CHUNK_ROWS):
             yield _batch_values(plan, min(CHUNK_ROWS, c - start), rng)
-
-
-def _csv_rows(block: np.ndarray) -> str:
-    """The CSV lines of ``block``: each value's shortest round-trip repr."""
-    rows, n = block.shape
-    return (",".join(["%r"] * n) + "\n") * rows % tuple(block.ravel().tolist())
-
-
-def _write_on_pool(out, blocks, workers: int) -> None:
-    """Write ``_csv_rows`` of each block in order, formatted on ``workers``
-    forked processes with at most one block each in flight.
-
-    Forked, not spawned: a spawned worker would import numpy and scipy
-    again, which takes nearly as long as formatting 300000 rows of four
-    values in one process (0.6-0.7 s against 0.8-0.9 s).  The pool is
-    forked before the first draw, and a block is at most the sampler's
-    ``PIECE_ROWS``, one piece drawn on the calling thread, so its draw
-    starts no thread to be copied.  OpenBLAS
-    keeps idle threads unless OPENBLAS_NUM_THREADS=1, for which Python
-    3.12+ warns that forking is deprecated; the children only format text
-    and take no lock those threads hold.  They inherit every descriptor of
-    the process, so a caller of ``main`` in-process must not hold the read
-    end of the ``--out`` pipe, or a broken pipe can hang.
-    """
-    out.flush()  # no child may hold the header in a copy of the buffer
-    # a ^C reaches the whole process group: the parent alone handles it
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
-    try:
-        pending = collections.deque()
-        for block in blocks:
-            pending.append(pool.apply_async(_csv_rows, (block,)))
-            del block  # hold no drawn block while a text is written
-            if len(pending) == workers:
-                out.write(pending.popleft().get())
-        while pending:
-            out.write(pending.popleft().get())
-    finally:
-        pool.terminate()
-        pool.join()
 
 
 def _split_count(count: int, streams: int) -> list[int]:
