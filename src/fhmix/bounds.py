@@ -13,15 +13,20 @@ tails stay exact.  Two continuous families give a shape constant (Demirtas &
 Hedeker 2011).  The normal/exponential one, int phi^2 / (1 - Phi), has no
 elementary form and is written out to double precision from a 40-digit
 mpmath value.
+
+The primitives are evaluated at a discrete marginal's few breakpoints by
+scalar standard-library calls, so the extremes, and the plans built on them,
+do not depend on which of numpy's SIMD paths the CPU takes.  The sums over
+the atoms are BLAS dot products, whose kernel OpenBLAS picks by CPU.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri, xlog1py, xlogy
 
 from .errors import DegenerateMarginalError, NumericalError
 from .marginals import MarginalSpec, _empirical_standardization
@@ -32,6 +37,8 @@ from .marginals import quantile  # noqa: F401
 DEGENERATE_WIDTH = 1e-10
 
 _DISCRETE = ("bernoulli", "empirical")
+_STANDARD_NORMAL = NormalDist()
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # (rho_minus, rho_plus) of two continuous shapes, keyed by the sorted family pair
 _SHAPE_EXTREMES = {
@@ -169,10 +176,21 @@ def _primitive(m: MarginalSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
                         np.interp(v, right[::-1], g_right[::-1]))
     if m.family == "uniform":  # q(u) = sqrt(3) (2u - 1)
         return -math.sqrt(3.0) * u * v
+    # a handful of breakpoints per pair: scalar standard-library calls cost
+    # less than a numpy call each, and their bits do not follow numpy's SIMD paths
     if m.family == "exponential":  # q(u) = -log(1 - u) - 1, so G = v log v
-        return np.where(u <= v, xlog1py(v, -u), xlogy(v, v))
-    z = ndtri(np.minimum(u, v))  # normal: G(u) = -phi(Phi^-1(u)), even about 1/2
-    return -np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return np.array([b * math.log1p(-a) if a <= b else b * math.log(b) if b else 0.0
+                         for a, b in zip(u.tolist(), v.tolist())])
+    # normal: G(u) = -phi(Phi^-1(u)), even about 1/2, and 0 at u = 0 and 1
+    return np.array([_normal_primitive(min(a, b)) for a, b in zip(u.tolist(), v.tolist())])
+
+
+def _normal_primitive(p: float) -> float:
+    """-phi(Phi^-1(p)), the normal's G, at p in [0, 1/2]."""
+    if p == 0.0:
+        return 0.0
+    z = _STANDARD_NORMAL.inv_cdf(p)
+    return -math.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def _clip_corr(x: float) -> float:

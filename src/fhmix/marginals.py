@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from . import inversion
+from . import inversion, kernels
 from .errors import DomainError, InvalidMarginalError
 
 #: family name -> parameter names, in the order its MarginalSpec constructor
@@ -198,20 +197,25 @@ def quantile(m: MarginalSpec, u):
     arr = np.asarray(u, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
         raise DomainError("quantile argument must lie in the open interval (0, 1)")
-    out = _quantile_into(m, arr, np.empty_like(arr))
+    flat = np.ravel(arr)
+    out = _quantile_into(m, flat, np.empty_like(flat)).reshape(arr.shape)
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(out)
     return out
 
 
-def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray,
-                   work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """:func:`quantile` of ``u`` written into ``out``, with no range check:
-    the one formula per family that both ``quantile`` and the sampler
-    evaluate.  ``out`` may be ``u`` itself only when ``u`` is contiguous:
-    numpy 2.4.6 computes ``np.negative(v, out=v)`` wrongly for a column v
-    with a 64-byte stride, as in an (rows, 8) array.  ``work`` is lent to
-    the empirical search (:func:`fhmix.inversion.index`)."""
+def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray, work=None) -> np.ndarray:
+    """:func:`quantile` of the 1-D array ``u`` written into ``out``, with no
+    range check: the one formula per family that both ``quantile`` and the
+    sampler evaluate.  ``out`` may be ``u`` itself only when ``u`` is
+    contiguous: numpy 2.4.6 computes ``np.negative(v, out=v)`` wrongly for a
+    column v with a 64-byte stride, as in an (rows, 8) array.
+
+    ``work``, if given, is an (intp, float64, bool) triple of arrays shaped
+    like ``u`` and a float64 array of shape (``kernels.TAIL_ROWS``, len(u)).
+    The triple is lent to the empirical search (:func:`fhmix.inversion.index`),
+    and the float arrays to the normal kernel (:func:`fhmix.kernels.ndtri_into`);
+    without it they allocate their own."""
     if m.family == "uniform":
         a, b = m.params
         np.multiply(u, b - a, out=out)
@@ -224,7 +228,10 @@ def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray,
         np.divide(out, rate, out=out)
     elif m.family == "normal":
         mean, sd = m.params
-        ndtri(u, out=out)
+        n = len(u)
+        index, edge, _, tails = work or (
+            np.empty(n), np.empty(n), None, np.empty((kernels.TAIL_ROWS, n)))
+        kernels.ndtri_into(u, out, (index.view(np.float64), edge, tails))
         np.multiply(out, sd, out=out)
         np.add(out, mean, out=out)
     elif m.family == "bernoulli":
@@ -233,7 +240,8 @@ def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray,
     else:  # empirical
         # the index is below len(values), as the cdf ends at 1.0 and u < 1:
         # "clip" is only the mode of take that writes into out unbuffered
-        np.take(m.values, inversion.index(m._levels, u, "left", work), out=out, mode="clip")
+        np.take(m.values, inversion.index(m._levels, u, "left", work and work[:3]),
+                out=out, mode="clip")
     return out
 
 

@@ -36,18 +36,21 @@ calling thread.  A longer batch is cut into pieces of ``PIECE_ROWS`` rows
 and evaluated on a pool of worker threads, one per CPU this process may run
 on (at most one per piece); the pool lives for one call, so importing
 starts no thread.  Rows are independent once their uniforms are drawn, and
-the numpy and scipy kernels of a piece release the GIL.  The calling
-thread draws each piece's uniforms in row order and copies them into a
-scratch set before it hands the piece to a worker, and each worker writes
-only its piece's rows, so the bytes are the same for any piece size or
-worker count.  The scratch sets, one per worker, form a ring allocated on
-the calling thread: piece k loads set k mod workers once the piece before
-it on that set has finished, so at most one piece per worker is in flight.
+the numpy kernels of a piece release the GIL.  The calling thread draws
+each piece's uniforms in row order and copies them into a scratch set
+before it hands the piece to a worker, and each worker writes only its
+piece's rows, so the bytes are the same for any piece size or worker count.
+The scratch sets, one per worker, are allocated on the calling thread.
+Once every set is in flight, the next piece waits for the first of them to
+finish, in whatever order, and loads its set, so at most one piece per
+worker is in flight and no core idles behind a slower piece.
 Memory a worker thread allocates and frees stays in its malloc arena: with
 scratch allocated per piece on the workers, the peak RSS of a process
-drawing 10^6 rows at n = 12 grew by 4-16%.  For the same reason an
-empirical quantile searches in its scratch set's idle arrays.  So a batch's
-temporaries take a fixed amount of memory whatever its size.
+drawing 10^6 rows at n = 12 grew by 4-16%.  For the same reason the
+empirical search and the normal kernel work in their scratch set's arrays,
+and the normal kernel allocates only the index of its tails, about 15% of a
+column.  So a batch's temporaries take a fixed amount of memory whatever
+its size.
 
 B is found by inversion of the recipe
 uniform over the recipe's cdf, as a branchless binary search
@@ -63,13 +66,14 @@ from __future__ import annotations
 
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import bernoulli_joint as bj
+from . import kernels
 from .bernoulli_joint import (
     AlphaInterval,
     ConcurrenceMatrix,
@@ -370,16 +374,18 @@ def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> n
         return out
     starts = range(0, count, PIECE_ROWS)
     workers = min(len(starts), _cpus())
-    ring = [_Scratch(PIECE_ROWS) for _ in range(workers)]
+    idle = [_Scratch(PIECE_ROWS) for _ in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
-        futures = []
-        for k, start in enumerate(starts):
-            if k >= workers:  # wait for the last piece on this scratch set
-                futures[k - workers].exception()  # raised below, not here
+        futures, busy = [], {}
+        for start in starts:
+            if not idle:  # every set is in flight: take back those of the first to finish
+                done, _ = wait(busy, return_when=FIRST_COMPLETED)  # errors are raised below
+                idle += [busy.pop(future) for future in done]
             rows = out[start:start + PIECE_ROWS]
-            # uniforms are drawn here, in row order, whichever worker draws the piece
-            scratch = ring[k % workers].load(rng, len(rows))
+            # uniforms are drawn here, in row order, whichever set and worker draw the piece
+            scratch = idle.pop().load(rng, len(rows))
             futures.append(pool.submit(_draw_piece, plan.marginals, levels, scratch, rows))
+            busy[futures[-1]] = scratch
     for future in futures:
         future.result()
     return out
@@ -407,6 +413,9 @@ class _Scratch:
         self.bit = np.empty(rows, bool)
         self.w = np.empty(rows, np.uint64)
         self.column = np.empty(rows)
+        # the normal kernel's tails: a draw writes the first ~15% of each
+        # row, and pages never written take no memory
+        self.tails = np.empty((kernels.TAIL_ROWS, rows))
 
     def load(self, rng: np.random.Generator, k: int) -> "_Scratch":
         """Draw the next k rows' uniforms: each row is (U, recipe uniform),
@@ -441,8 +450,9 @@ def _draw_piece(marginals, levels, s: _Scratch, out: np.ndarray) -> None:
         w &= diff
         w ^= v
         # e and b are idle until the next step: lend them to an empirical
-        # quantile's search, so a worker thread allocates no column
-        out[:, i] = _quantile_into(m, w.view(np.float64), c, (s.index[:k], e, b))
+        # quantile's search or the normal kernel, so a worker thread
+        # allocates no column
+        out[:, i] = _quantile_into(m, w.view(np.float64), c, (s.index[:k], e, b, s.tails))
 
 
 def _require_feasible(plan: SamplingPlan) -> None:

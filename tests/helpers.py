@@ -78,6 +78,20 @@ def ks_pvalue(samples: np.ndarray, m: MarginalSpec) -> float:
     return float(kolmogorov(d * math.sqrt(n)))
 
 
+def ulps(x, y) -> np.ndarray:
+    """How many doubles apart x and y are, elementwise (finite values)."""
+    def ordered(a):
+        bits = np.asarray(a, dtype=float).view(np.int64)
+        return np.where(bits < 0, np.int64(-2 ** 63) - bits, bits)
+    return np.abs(ordered(x) - ordered(y))
+
+
+def standard_normal_quantile(u) -> np.ndarray:
+    """The standard library's AS241, one value at a time."""
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(float(v)) for v in np.ravel(u)])
+
+
 # ---------------------------------------------------------------------------
 # z-score helpers (known-moment standardization)
 # ---------------------------------------------------------------------------

@@ -574,6 +574,40 @@ def test_a_closed_stdout_pipe_is_one_error_line(tmp_path):
     assert err.decode() == "error: [Errno 32] Broken pipe\n"
 
 
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # None in sys.modules makes any import of scipy or scipy.* raise
+    doc = {
+        "marginals": [{"family": "uniform", "a": -1.0, "b": 2.0},
+                      {"family": "exponential", "rate": 1.5},
+                      {"family": "normal", "mean": 0.5, "sd": 2.0},
+                      {"family": "bernoulli", "p": 0.35},
+                      {"family": "empirical", "values": [-1.0, 0.0, 2.5, 7.0],
+                       "weights": [0.2, 0.3, 0.4, 0.1]}],
+        "correlation": [0.2, 0.1, 0.1, 0.1, 0.0, 0.1, 0.1, 0.1, 0.0, 0.1],
+        "count": 3000,
+        "seed": 5,
+    }
+    path = write_config(tmp_path, doc)
+    csv = tmp_path / "sample.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; sys.modules['scipy'] = None; from fhmix.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    for args in (["sample", "--config", path, "--out", str(csv)], ["plan", "--config", path],
+                 ["bounds", "--config", path], ["verify", "--config", path, str(csv)]):
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, (args[0], proc.stderr.decode())
+
+    from fhmix import sample_batch
+
+    cfg = parse_config((tmp_path / "job.json").read_text())
+    rows = sample_batch(cli._plan_from_config(cfg), cfg.count, cfg.seed).values.tolist()
+    expected = "x1,x2,x3,x4,x5\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert csv.read_text() == expected
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_failed_out_write_is_one_error_line(tmp_path, capsys):
     # --out is a pipe whose reader, another process, leaves after 100 bytes,

@@ -262,15 +262,16 @@ def test_comonotone_pair_shares_its_uniform():
 
 def test_sample_vector_pinned_draws():
     # a single draw consumes one uniform, then one recipe uniform; pinning
-    # the values keeps that order and the quantile path from drifting
+    # the values keeps that order and the quantile path from drifting.  The
+    # normal column is 2 NormalDist().inv_cdf(U), bit for bit
     marginals = [UNIFORM, MarginalSpec.exponential(1.5), MarginalSpec.normal(0.0, 2.0),
                  MarginalSpec.bernoulli(0.3)]
     plan = build_plan_from_concurrence(marginals, ConcurrenceMatrix.filled(4, 0.625))
     rng = np.random.default_rng(2024)
     expected = [
-        [0.3241686620187182, 0.26120782273144844, -0.9121464477660267, 0.0],
-        [0.3094520308816917, 0.24684655895005206, -0.9948083507464076, 0.0],
-        [0.004197901134533222, 0.002804491372262702, -5.271447740617573, 0.0],
+        [0.3241686620187182, 0.26120782273144844, -0.9121464477660265, 0.0],
+        [0.3094520308816917, 0.24684655895005206, -0.9948083507464075, 0.0],
+        [0.004197901134533222, 0.002804491372262702, -5.271447740617572, 0.0],
     ]
     for row in expected:
         assert sample_vector(plan, rng).tolist() == row
@@ -633,6 +634,31 @@ def test_pieces_in_flight_are_bounded_by_the_workers(monkeypatch, cpus):
     monkeypatch.setattr(sampler, "_cpus", lambda: cpus)
     assert sample_batch(plan, 64, seed=4).values.tobytes() == whole
     assert 1 <= peak[0] <= cpus and len(used) == cpus
+
+
+def test_a_slow_piece_holds_back_no_other(monkeypatch):
+    # the first piece finishes only after the other three: with two
+    # scratch sets, pieces 2 and 3 must take the set piece 1 gives back
+    plan = build_plan(MIXED, CorrelationMatrix.filled(5, 0.1))
+    whole = sample_batch(plan, 20, seed=4).values.tobytes()
+    first_u = _generator(4, 0).random((5, 2))[:, 0]
+    draw_piece = sampler._draw_piece
+    lock, others_done, finished = threading.Lock(), threading.Event(), []
+
+    def record(marginals, levels, scratch, out):
+        if np.array_equal(scratch.u[:len(out)], first_u):
+            assert others_done.wait(timeout=30), "a piece waited for the first one"
+        draw_piece(marginals, levels, scratch, out)
+        with lock:
+            finished.append(scratch)
+            if len(finished) == 3:
+                others_done.set()
+
+    monkeypatch.setattr(sampler, "_draw_piece", record)
+    monkeypatch.setattr(sampler, "PIECE_ROWS", 5)
+    monkeypatch.setattr(sampler, "_cpus", lambda: 2)
+    assert sample_batch(plan, 20, seed=4).values.tobytes() == whole
+    assert len(finished) == 4 and len({id(s) for s in finished}) == 2
 
 
 def test_draw_scratch_does_not_grow_with_count(monkeypatch):
