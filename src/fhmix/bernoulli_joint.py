@@ -253,21 +253,33 @@ class JointPMF:
         return ConcurrenceMatrix(m)
 
     @functools.cached_property
-    def _levels(self) -> tuple[np.ndarray, ...]:
-        """Search tables (:func:`fhmix.inversion.levels`), built on first
-        use, over the running sums of ``probs`` set to 1.0 from the last atom
-        of positive mass on; table i decides coordinate i's bit.  Inversion
-        of x in [0, 1), the first atom whose entry exceeds x, then never
-        lands on a zero-mass atom: not inside (its entry equals the one
-        before), and not past a float sum just short of 1."""
-        cdf = np.cumsum(self.probs)
-        cdf[np.flatnonzero(self.probs)[-1]:] = 1.0
-        return inversion.levels(cdf)
+    def _support_tables(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+        """Inversion tables over the k atoms of positive mass, built on first
+        use: the search tables (:func:`fhmix.inversion.levels`) of the running
+        sums of ``probs`` taken at those atoms, the last set to 1.0; the
+        atoms' indices; and an (n, k) ``uint64`` array whose row i is all
+        ones where an atom's bit i is 1, else 0.
+
+        Each entry is, bit for bit, the running sum over all 2^n atoms up to
+        its atom (``np.cumsum`` adds in order, and x + 0.0 == x).  So for x in
+        [0, 1), the first entry above x is at the atom that a search of all
+        2^n running sums, set to 1.0 from the last atom of positive mass on,
+        finds.  That search never lands on an atom of zero mass, whose sum
+        equals the one before it, nor past a float sum just short of 1.  A
+        search takes ceil(log2 k) steps: 8 for the 134 atoms of an n = 12
+        recipe, where all 2^n atoms would take 12."""
+        support = np.flatnonzero(self.probs)
+        cdf = np.cumsum(self.probs)[support]
+        cdf[-1] = 1.0
+        shifts = np.arange(self.n - 1, -1, -1, dtype=np.uint64)[:, None]
+        masks = -((support.astype(np.uint64) >> shifts) & np.uint64(1))
+        return inversion.levels(cdf), support, masks
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw atoms by inversion; returns bits, shape (n,) or (size, n)."""
         count = 1 if size is None else int(size)
-        idx = inversion.index(self._levels, rng.random(count), "right")
+        tables, support, _ = self._support_tables
+        idx = support[inversion.index(tables, rng.random(count), "right")]
         bits = _bit_table(self.n)[idx].astype(np.int64)
         if size is None:
             return bits[0]

@@ -7,9 +7,9 @@ comparison of x with the cdf at the midpoint of the block of entries that
 share the index's first i bits.  :func:`levels` tabulates those midpoints
 per depth, and :func:`index` descends them for every x at once: L vectorized
 steps with no branch to mispredict, where the branches of
-``np.searchsorted`` go either way at random for random x.  A pmf over
-{0,1}^n has L = n, and the sampler takes one step per coordinate, since
-bit i is coordinate i's coin.
+``np.searchsorted`` go either way at random for random x.  The sampler
+searches the running sums at a recipe's k atoms of positive mass alone, in
+L = ceil(log2 k) steps, and an empirical marginal's cumulative weights.
 """
 
 from __future__ import annotations

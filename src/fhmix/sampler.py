@@ -46,20 +46,25 @@ finish, in whatever order, and loads its set, so at most one piece per
 worker is in flight and no core idles behind a slower piece.
 Memory a worker thread allocates and frees stays in its malloc arena: with
 scratch allocated per piece on the workers, the peak RSS of a process
-drawing 10^6 rows at n = 12 grew by 4-16%.  For the same reason the
-empirical search and the normal kernel work in their scratch set's arrays,
+drawing 10^6 rows at n = 12 grew by 4-16%.  For the same reason the atom
+search, the empirical search and the normal kernel work in their scratch
+set's arrays, each quantile writes straight into its column of the output,
 and the normal kernel allocates only the index of its tails, about 15% of a
 column.  So a batch's temporaries take a fixed amount of memory whatever
 its size.
 
-B is found by inversion of the recipe
-uniform over the recipe's cdf, as a branchless binary search
-(:mod:`fhmix.inversion`) whose depth i decides coordinate i's bit, so each
-coordinate costs one search step whatever n is.  That bit then picks U or
-1 - U by an exact bit select, and the column is mapped through its quantile
-by the same kernel :func:`fhmix.marginals.quantile` uses.  The cdf equals
-1.0 from the last atom of positive mass on, so an atom of zero mass is
-never drawn.
+B is found by inversion of the recipe uniform over the running sums of the
+recipe's k atoms of positive mass alone, as a branchless binary search of
+ceil(log2 k) steps (:mod:`fhmix.inversion`): 8 for the 134 atoms of an
+n = 12 recipe, where the 2^n atoms of {0,1}^n would take 12.  The sums are
+those over all 2^n atoms, and an atom of zero mass is never drawn, so
+skipping those atoms changes no draw.  Coordinate i's coin is then a
+gather from a word per atom that is all ones where the atom's bit i is 1,
+which picks U or 1 - U by an exact bit select, and the column is mapped
+through its quantile by the same kernel :func:`fhmix.marginals.quantile`
+uses, straight into its column of the output.  The output is column-major
+(Fortran order), so every column is contiguous; ``np.ascontiguousarray``
+gives the row-major copy, with the same values.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from itertools import combinations
 import numpy as np
 
 from . import bernoulli_joint as bj
-from . import kernels
+from . import inversion, kernels
 from .bernoulli_joint import (
     AlphaInterval,
     ConcurrenceMatrix,
@@ -116,8 +121,9 @@ class BernoulliRecipe:
     """Compiled fair-coin vector source: a pmf over {0,1}^n.
 
     ``alpha`` is its law's P(X = 111) (at n = 4, all coins agree).  The draw's
-    search tables (the pmf's ``_levels``) are built on the first draw and
-    cached, so compiling a plan that is never drawn from costs nothing here.
+    tables over the law's atoms of positive mass (the pmf's
+    ``_support_tables``) are built on the first draw and cached, so compiling
+    a plan that is never drawn from costs nothing here.
     """
 
     kind: str  # "bivariate" | "trivariate" | "quadrivariate" | "oracle_pmf"
@@ -364,13 +370,13 @@ def _integer(v, name: str, low: int) -> int:
 
 def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> np.ndarray:
     # build the lazily cached search tables here, so no worker builds them
-    levels = plan.recipe.pmf._levels
+    tables = plan.recipe.pmf._support_tables
     for m in plan.marginals:
         if m.family == "empirical":
             m._levels
-    out = np.empty((count, plan.n))
+    out = np.empty((count, plan.n), order="F")  # each column contiguous
     if count <= PIECE_ROWS:
-        _draw_piece(plan.marginals, levels, _Scratch(count).load(rng, count), out)
+        _draw_piece(plan.marginals, tables, _Scratch(count).load(rng, count), out)
         return out
     starts = range(0, count, PIECE_ROWS)
     workers = min(len(starts), _cpus())
@@ -384,7 +390,7 @@ def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> n
             rows = out[start:start + PIECE_ROWS]
             # uniforms are drawn here, in row order, whichever set and worker draw the piece
             scratch = idle.pop().load(rng, len(rows))
-            futures.append(pool.submit(_draw_piece, plan.marginals, levels, scratch, rows))
+            futures.append(pool.submit(_draw_piece, plan.marginals, tables, scratch, rows))
             busy[futures[-1]] = scratch
     for future in futures:
         future.result()
@@ -412,7 +418,6 @@ class _Scratch:
         self.edge = np.empty(rows)
         self.bit = np.empty(rows, bool)
         self.w = np.empty(rows, np.uint64)
-        self.column = np.empty(rows)
         # the normal kernel's tails: a draw writes the first ~15% of each
         # row, and pages never written take no memory
         self.tails = np.empty((kernels.TAIL_ROWS, rows))
@@ -426,8 +431,9 @@ class _Scratch:
         return self
 
 
-def _draw_piece(marginals, levels, s: _Scratch, out: np.ndarray) -> None:
-    """Evaluate the rows of ``out`` from the uniforms loaded into ``s``."""
+def _draw_piece(marginals, tables, s: _Scratch, out: np.ndarray) -> None:
+    """Evaluate the rows of the column-major ``out`` from the uniforms loaded
+    into ``s``, with the recipe's ``JointPMF._support_tables``."""
     k = len(out)
     u, atom_u = s.u[:k], s.atom_u[:k]
     if not u.all():
@@ -435,24 +441,22 @@ def _draw_piece(marginals, levels, s: _Scratch, out: np.ndarray) -> None:
     v = s.v[:k]
     np.subtract(1.0, u, out=v.view(np.float64))
     diff = np.bitwise_xor(u.view(np.uint64), v, out=s.diff[:k])
-    p, e, b, w, c = s.prefix[:k], s.edge[:k], s.bit[:k], s.w[:k], s.column[:k]
-    p.fill(0)
-    for i, (m, table) in enumerate(zip(marginals, levels)):
-        # one step of inversion.index(levels, atom_u, "right"): p holds
-        # each row's first i atom bits and gains bit i
-        table.take(p, out=e, mode="clip")
-        np.less_equal(e, atom_u, out=b)
-        p += p
-        p += b
-        # w = u where bit i is 1, else 1 - u: the mask is all ones or
-        # all zeros, so w's bits are exactly u's or 1 - u's
-        np.negative(b, out=w, dtype=np.uint64)
+    levels, _, masks = tables
+    e, b, w = s.edge[:k], s.bit[:k], s.w[:k]
+    # each row's position among the recipe's atoms of positive mass
+    p = inversion.index(levels, atom_u, "right", (s.prefix[:k], e, b))
+    for i, m in enumerate(marginals):
+        # w = u where the atom's bit i is 1, else 1 - u: the mask is all ones
+        # or all zeros, so w's bits are exactly u's or 1 - u's; p is below
+        # the number of atoms, so "clip" is only the mode of take that
+        # writes into w unbuffered
+        masks[i].take(p, out=w, mode="clip")
         w &= diff
         w ^= v
-        # e and b are idle until the next step: lend them to an empirical
+        # e and b are idle once p is found: lend them to an empirical
         # quantile's search or the normal kernel, so a worker thread
         # allocates no column
-        out[:, i] = _quantile_into(m, w.view(np.float64), c, (s.index[:k], e, b, s.tails))
+        _quantile_into(m, w.view(np.float64), out[:, i], (s.index[:k], e, b, s.tails))
 
 
 def _require_feasible(plan: SamplingPlan) -> None:

@@ -36,7 +36,7 @@ from fhmix import (
     trivariate_sample_direct,
     violated_principal_submatrix,
 )
-from fhmix import bernoulli_joint
+from fhmix import bernoulli_joint, inversion
 from fhmix.bernoulli_joint import FEAS_TOL, _bit_table, lift
 from helpers import (
     FixedCoin,
@@ -157,6 +157,56 @@ def test_accessors_equal_the_masked_sums_bit_for_bit(pmf):
             assert pmf.concurrence(i, j) == agree
             if i != j:
                 assert conc[i, j] == min(1.0, agree)
+
+
+@st.composite
+def supported_pmfs(draw):
+    """pmfs at n = 1..12 whose k atoms of positive mass are placed at random,
+    with k one, a power of two, one past it or any size, the first or last
+    atom of {0,1}^n left empty on request, and masses summing to 1 up to a
+    few ulp either way."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    free = list(range(2 ** n))
+    if n > 1 and draw(st.booleans()):
+        free.pop(0)
+    if n > 1 and draw(st.booleans()):
+        free.pop()
+    m = draw(st.integers(0, len(free).bit_length() - 1))
+    k = min(len(free), draw(st.sampled_from(
+        [1, 2 ** m, 2 ** m + 1, int(rng.integers(1, len(free) + 1))])))
+    weights = np.zeros(2 ** n)
+    atoms = rng.choice(free, size=k, replace=False)
+    if draw(st.booleans()):
+        weights[atoms] = rng.random(k) ** 4 + 1e-9
+    else:  # one heavy atom and k - 1 of 1e-6 each
+        weights[atoms] = 1e-6
+        weights[atoms[0]] = 1.0
+    scale = 1.0 + draw(st.integers(-6, 2)) * 2.0 ** -53
+    return JointPMF(n, weights / weights.sum() * scale)
+
+
+@seed(26)
+@settings(max_examples=300, deadline=None)
+@given(pmf=supported_pmfs(), query_seed=st.integers(0, 2 ** 32 - 1))
+def test_the_support_search_finds_the_atom_of_the_full_search(pmf, query_seed):
+    # the search over the atoms of positive mass alone draws, for every x in
+    # [0, 1), the atom that np.searchsorted finds over all 2^n running sums,
+    # set to 1.0 from the last atom of positive mass on
+    cdf = np.cumsum(pmf.probs)
+    cdf[np.flatnonzero(pmf.probs)[-1]:] = 1.0
+    inner = cdf[cdf < 1.0]
+    x = np.concatenate([inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+                        [0.0, 2.0 ** -53, 1.0 - 2.0 ** -53],
+                        np.random.default_rng(query_seed).random(64)])
+    x = x[(x >= 0.0) & (x < 1.0)]
+    tables, support, masks = pmf._support_tables
+    found = support[inversion.index(tables, x, "right")]
+    assert np.array_equal(found, np.searchsorted(cdf, x, "right"))
+    assert len(tables) == max(1, (len(support) - 1).bit_length())
+    # row i of the masks is each atom's bit i, as all ones or all zeros
+    bits = _bit_table(pmf.n)[support].T.astype(np.uint64)
+    assert np.array_equal(masks, bits * np.uint64(2 ** 64 - 1))
 
 
 def test_a_lifted_pmf_that_misses_a_row_raises_naming_it(monkeypatch):

@@ -94,7 +94,10 @@ def test_blocks_longer_than_a_sub_block():
     rows = csvtext.SUB_VALUES + 11
     block = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-30, 30, (rows, 3))
     assert csv_bytes(block) == reference(block)
-    column = np.asfortranarray(block)[:, 1:2]
+    # sample_batch's values are column-major, and their text is the rows'
+    by_column = np.asfortranarray(block)
+    assert csv_bytes(by_column) == csv_bytes(np.ascontiguousarray(by_column))
+    column = by_column[:, 1:2]
     assert csv_bytes(column) == reference(column)
     assert csv_bytes(block[:0]) == b""
 

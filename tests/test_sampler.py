@@ -525,6 +525,19 @@ def test_draw_chunk_size_does_not_change_the_bytes(monkeypatch):
     assert sample_batch(plan, 1000, seed=3).values.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("count", [3, 17])  # one piece of 7 rows, and three
+def test_batches_are_column_major_and_vectors_contiguous(monkeypatch, count):
+    # every column of a batch is contiguous, whether one piece or several
+    # wrote it; a vector is one contiguous row
+    plan = build_plan(MIXED, CorrelationMatrix.filled(5, 0.1))
+    monkeypatch.setattr(sampler, "PIECE_ROWS", 7)
+    values = sample_batch(plan, count, seed=5).values
+    assert values.flags.f_contiguous and not values.flags.writeable
+    assert not values.flags.c_contiguous
+    row = sample_vector(plan, np.random.default_rng(5))
+    assert row.shape == (5,) and row.flags.c_contiguous
+
+
 def test_one_row_past_a_piece_is_drawn_in_pieces(monkeypatch):
     # one piece size decides the layout: PIECE_ROWS + 1 rows are two pieces
     # on the worker threads, with the bytes of the two batches in turn
@@ -687,13 +700,13 @@ def test_a_piece_allocates_no_column(monkeypatch):
     # peak left is numpy's fixed cast buffer
     plan = build_plan(MIXED, CorrelationMatrix.filled(5, 0.1))
     rows = sampler.PIECE_ROWS
-    levels = plan.recipe.pmf._levels
+    tables = plan.recipe.pmf._support_tables
     _batch_values(plan, 1, _generator(1, 0))  # cache the search tables
     scratch = sampler._Scratch(rows).load(_generator(1, 0), rows)
-    out = np.empty((rows, plan.n))
+    out = np.empty((rows, plan.n), order="F")
     tracemalloc.start()
     try:
-        sampler._draw_piece(plan.marginals, levels, scratch, out)
+        sampler._draw_piece(plan.marginals, tables, scratch, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
