@@ -39,10 +39,9 @@ from .errors import (
     InvalidMarginalError,
     InvalidMatrixError,
     NumericalError,
-    QuadratureError,
     UnachievableCorrelationError,
 )
-from .marginals import MarginalSpec, moments, quantile, quantile_jumps
+from .marginals import MarginalSpec, moments, quantile
 from .oracle import FeasibilityWitness, lp_feasible, pushforward
 from .sampler import (
     BernoulliRecipe,
@@ -80,7 +79,6 @@ __all__ = [
     "JointPMF",
     "MarginalSpec",
     "NumericalError",
-    "QuadratureError",
     "SampleBatch",
     "SamplingPlan",
     "UnachievableCorrelationError",
@@ -103,7 +101,6 @@ __all__ = [
     "quadrivariate_pmf",
     "quadrivariate_sample",
     "quantile",
-    "quantile_jumps",
     "reduce_symmetric_draw",
     "sample_batch",
     "sample_vector",

@@ -15,9 +15,9 @@ elementary form and is written out to double precision from a 40-digit
 mpmath value.
 
 The primitives are evaluated at a discrete marginal's few breakpoints by
-scalar standard-library calls, so the extremes, and the plans built on them,
-do not depend on which of numpy's SIMD paths the CPU takes.  The sums over
-the atoms are BLAS dot products, whose kernel OpenBLAS picks by CPU.
+scalar standard-library calls, and the sums over the atoms are correctly
+rounded by ``math.fsum``, so the extremes, and the plans built on them, do
+not depend on which of numpy's SIMD paths or OpenBLAS's kernels the CPU takes.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class CorrelationExtremes:
 
     rho_minus: float
     rho_plus: float
-    method: str  # always "closed_form"; kept as a field of the public record
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rho_minus) and math.isfinite(self.rho_plus)):
@@ -87,28 +86,27 @@ def corr_extremes(mi: MarginalSpec, mj: MarginalSpec) -> CorrelationExtremes:
     """Minimum and maximum achievable correlation between two marginals.
 
     Exact on the standardized marginals, so invariant under location and
-    scale; ``method`` is ``"closed_form"`` for every pair.  The pair is
-    ordered canonically before computing, so the result is exactly
-    symmetric in its arguments.
+    scale.  The pair is ordered canonically before computing, so the result
+    is exactly symmetric in its arguments.
     """
     a, b = sorted((mi, mj), key=_sort_key)
     if a.family == "bernoulli" and b.family == "bernoulli":
         return bernoulli_corr_extremes(a.params[0], b.params[0])
 
     if a.family not in _DISCRETE:  # discrete families sort first
-        return CorrelationExtremes(*_SHAPE_EXTREMES[a.family, b.family], "closed_form")
+        return CorrelationExtremes(*_SHAPE_EXTREMES[a.family, b.family])
 
     z, w = _standard_atoms(a)
     u, v = _breakpoints(w)
     # Q_a = z[k] on (u[k], u[k + 1]], where q_b(1 - u) integrates q_b over the mirrored
     # breakpoints, (v[k + 1], v[k]]
-    rho_plus = _clip_corr(float(z @ np.diff(_primitive(b, u, v))))
-    rho_minus = _clip_corr(-float(z @ np.diff(_primitive(b, v, u))))
+    rho_plus = _clip_corr(math.fsum((z * np.diff(_primitive(b, u, v))).tolist()))
+    rho_minus = _clip_corr(-math.fsum((z * np.diff(_primitive(b, v, u))).tolist()))
     if rho_minus > rho_plus:
         if rho_minus - rho_plus > 1e-9:
             raise NumericalError(f"rho_minus={rho_minus} exceeds rho_plus={rho_plus}")
         rho_minus = rho_plus
-    return CorrelationExtremes(rho_minus, rho_plus, "closed_form")
+    return CorrelationExtremes(rho_minus, rho_plus)
 
 
 def bernoulli_corr_extremes(p: float, q: float) -> CorrelationExtremes:
@@ -136,7 +134,7 @@ def bernoulli_corr_extremes(p: float, q: float) -> CorrelationExtremes:
     else:
         rho_minus = -math.sqrt((1.0 - p) * (1.0 - q) / (p * q))
     rho_plus = math.sqrt(p * (1.0 - q) / (q * (1.0 - p)))
-    return CorrelationExtremes(_clip_corr(rho_minus), _clip_corr(rho_plus), "closed_form")
+    return CorrelationExtremes(_clip_corr(rho_minus), _clip_corr(rho_plus))
 
 
 def _standard_atoms(m: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:

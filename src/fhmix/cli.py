@@ -231,12 +231,6 @@ def _load_config(path: str) -> JobConfig:
 
 def _output(path: str | None):
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _binary_output(path: str | None):
-    if path is None:
         sys.stdout.flush()
         return contextlib.nullcontext(sys.stdout.buffer)
     return open(path, "wb")
@@ -251,11 +245,11 @@ def cmd_bounds(cfg: JobConfig, out_path: str | None) -> int:
 
     table = pairwise_extremes(cfg.marginals)
     with _output(out_path) as out:
-        out.write("i,j,rho_minus,rho_plus\n")
+        out.write(b"i,j,rho_minus,rho_plus\n")
         for i in range(cfg.n):
             for j in range(i + 1, cfg.n):
                 ext = table[i][j]
-                out.write(f"{i + 1},{j + 1},{ext.rho_minus:.6f},{ext.rho_plus:.6f}\n")
+                out.write(f"{i + 1},{j + 1},{ext.rho_minus:.6f},{ext.rho_plus:.6f}\n".encode())
     return 0
 
 
@@ -277,7 +271,7 @@ def cmd_plan(cfg: JobConfig, out_path: str | None) -> int:
         iv = plan.recipe.alpha_interval
         doc["alpha_interval"] = [iv.lo, iv.hi]
     with _output(out_path) as out:
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write((json.dumps(doc, indent=2) + "\n").encode())
     if not plan.feasible:
         print(plan.diagnostics, file=sys.stderr)
         return 1
@@ -293,7 +287,7 @@ def cmd_sample(cfg: JobConfig, out_path: str | None) -> int:
     plan = _feasible_plan(cfg)
     if plan is None:
         return 1
-    with _binary_output(out_path) as out:
+    with _output(out_path) as out:
         out.write((",".join(f"x{i + 1}" for i in range(cfg.n)) + "\n").encode())
         for block in _blocks(plan, cfg.seed, _split_count(cfg.count, cfg.streams)):
             out.write(csv_bytes(block))
@@ -345,7 +339,7 @@ def cmd_verify(cfg: JobConfig, csv_path: str, out_path: str | None) -> int:
     max_z = max(abs(c["z"]) for c in checks)
     doc = {"count": count, "checks": checks, "max_abs_z": max_z, "pass": max_z <= Z_LIMIT}
     with _output(out_path) as out:
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write((json.dumps(doc, indent=2) + "\n").encode())
     return 0 if doc["pass"] else 1
 
 

@@ -54,17 +54,5 @@ class NumericalError(FhmixError, FloatingPointError):
     """An internal numerical invariant failed (should not happen on valid input)."""
 
 
-class QuadratureError(NumericalError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    fhmix no longer raises it: every correlation extreme has a closed form.
-    It stays as public API, so callers that catch it keep working.
-    """
-
-    def __init__(self, message: str, abserr: float | None = None):
-        super().__init__(message)
-        self.abserr = abserr
-
-
 class ConfigError(FhmixError, ValueError):
     """A job configuration file is malformed or inconsistent."""

@@ -179,7 +179,9 @@ class MarginalSpec:
     def _levels(self) -> tuple[np.ndarray, ...]:
         """Search tables over an empirical's cumulative weights, built on
         first use."""
-        return inversion.levels(_empirical_cum_weights(self))
+        cumw = np.cumsum(np.asarray(self.weights, dtype=float))
+        cumw[-1] = 1.0
+        return inversion.levels(cumw)
 
     def __str__(self) -> str:
         if self.family == "empirical":
@@ -265,33 +267,12 @@ def moments(m: MarginalSpec) -> tuple[float, float]:
     return mean, sd
 
 
-def quantile_jumps(m: MarginalSpec) -> tuple[float, ...]:
-    """Interior u-locations where the quantile function jumps.
-
-    Continuous families return (); discrete families return the cumulative
-    probabilities strictly inside (0, 1).  A numerical integral over
-    quantile products should split its panels at these points.
-    """
-    if m.family == "bernoulli":
-        (p,) = m.params
-        return (1.0 - p,) if 1.0 - p < 1.0 else ()
-    if m.family == "empirical":
-        cumw = _empirical_cum_weights(m)
-        return tuple(float(c) for c in cumw[:-1] if 0.0 < c < 1.0)
-    return ()
-
-
-def _empirical_cum_weights(m: MarginalSpec) -> np.ndarray:
-    cumw = np.cumsum(np.asarray(m.weights, dtype=float))
-    cumw[-1] = 1.0
-    return cumw
-
-
 def _empirical_standardization(m: MarginalSpec) -> tuple[float, float, np.ndarray]:
     """Mean, sd and centred atoms x - mean of an empirical, from offsets to the
-    first atom: exact for clustered values, so a large location costs nothing."""
+    first atom: exact for clustered values, so a large location costs nothing.
+    The weighted sums are correctly rounded, so no BLAS kernel sets their bits."""
     d = np.asarray(m.values) - m.values[0]
     w = np.asarray(m.weights)
-    shift = float(w @ d)
+    shift = math.fsum((w * d).tolist())
     d -= shift
-    return m.values[0] + shift, math.sqrt(w @ (d * d)), d
+    return m.values[0] + shift, math.sqrt(math.fsum((w * (d * d)).tolist())), d

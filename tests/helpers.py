@@ -24,7 +24,6 @@ from fhmix import (
     atom_bits,
     moments,
     quantile,
-    quantile_jumps,
 )
 from fhmix.bernoulli_joint import _bit_table
 
@@ -120,6 +119,21 @@ def concurrence_z(x: np.ndarray, y: np.ndarray, target: float) -> float:
 # ---------------------------------------------------------------------------
 # correlation-extreme oracles
 # ---------------------------------------------------------------------------
+
+def quantile_jumps(m: MarginalSpec) -> tuple[float, ...]:
+    """Interior u-locations where the quantile function jumps.
+
+    Continuous families return (); discrete families return the cumulative
+    probabilities strictly inside (0, 1).  A numerical integral over
+    quantile products should split its panels at these points.
+    """
+    if m.family == "bernoulli":
+        (p,) = m.params
+        return (1.0 - p,) if 1.0 - p < 1.0 else ()
+    if m.family == "empirical":
+        return tuple(c for c in accumulate(m.weights[:-1]) if 0.0 < c < 1.0)
+    return ()
+
 
 def quad_corr_extremes(mi: MarginalSpec, mj: MarginalSpec) -> tuple[float, float]:
     """(rho_minus, rho_plus) by adaptive quadrature of raw quantile products.

@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fhmix import (
+    AlphaInterval,
     ConcurrenceMatrix,
     DomainError,
     InfeasibleError,
@@ -94,6 +95,8 @@ def test_joint_pmf_validation():
 
 @pytest.mark.parametrize("build,error,text", [
     (lambda: trivariate_pmf(0.5, 0.5, 0.5, 0.5), InfeasibleError, "atom p000 = -0.25 < 0"),
+    (lambda: AlphaInterval(np.float64(0.25), np.float64(0.125), False).midpoint,
+     InfeasibleError, "alpha interval [0.25, 0.125] is empty"),
     (lambda: JointPMF(2, np.array([0.75, 0.25, 0.25, -0.25])), InvalidDistributionError,
      "atom p11 = -0.25 is negative beyond tolerance"),
     (lambda: bernoulli_joint._check_constraints(JointPMF(1, np.array([0.5, 0.5])), [0.25], []),
@@ -104,8 +107,8 @@ def test_joint_pmf_validation():
      DomainError, "marginal probability 1 = 1.5 not in [0, 1]"),
     (lambda: JointPMF(2, np.full(4, 0.25)).marginal_prob(np.int64(5)), DomainError,
      "coordinate 5 is not in 0..1"),
-], ids=["alpha-atom", "pmf-atom", "constraint-row", "unit-interval", "lp-marginal",
-        "coordinate"])
+], ids=["alpha-atom", "empty-interval", "pmf-atom", "constraint-row", "unit-interval",
+        "lp-marginal", "coordinate"])
 def test_error_texts_print_plain_floats(build, error, text):
     with pytest.raises(error) as info:
         build()

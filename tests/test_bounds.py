@@ -36,7 +36,6 @@ def two_point(p: float) -> MarginalSpec:
 
 def test_exponential_pair_extremes():
     ext = corr_extremes(MarginalSpec.exponential(1.0), MarginalSpec.exponential(1.0))
-    assert ext.method == "closed_form"
     assert ext.rho_minus == pytest.approx(1.0 - math.pi ** 2 / 6.0, abs=1e-6)
     assert ext.rho_plus == pytest.approx(1.0, abs=1e-6)
 
@@ -81,7 +80,6 @@ def test_bernoulli_half_pair_is_full_interval():
     ext = bernoulli_corr_extremes(0.5, 0.5)
     assert ext.rho_minus == -1.0
     assert ext.rho_plus == 1.0
-    assert ext.method == "closed_form"
 
 
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.77])
@@ -237,7 +235,6 @@ def test_closed_form_agrees_with_quadrature():
         p, q = rng.uniform(0.05, 0.95, size=2)
         closed = bernoulli_corr_extremes(p, q)
         quadrature = corr_extremes(two_point(p), two_point(q))
-        assert quadrature.method == "closed_form"
         assert quadrature.rho_minus == pytest.approx(closed.rho_minus, abs=1e-7)
         assert quadrature.rho_plus == pytest.approx(closed.rho_plus, abs=1e-7)
 
@@ -310,12 +307,12 @@ def test_extremes_ordering_invariant():
 
 
 def test_degenerate_flag():
-    assert CorrelationExtremes(0.5, 0.5, "closed_form").degenerate
-    assert not CorrelationExtremes(-1.0, 1.0, "closed_form").degenerate
+    assert CorrelationExtremes(0.5, 0.5).degenerate
+    assert not CorrelationExtremes(-1.0, 1.0).degenerate
 
 
 def test_normal_exponential_constant():
-    exact = CorrelationExtremes(-NORMAL_EXPONENTIAL_RHO, NORMAL_EXPONENTIAL_RHO, "closed_form")
+    exact = CorrelationExtremes(-NORMAL_EXPONENTIAL_RHO, NORMAL_EXPONENTIAL_RHO)
     for normal in (MarginalSpec.normal(0.0, 1.0), MarginalSpec.normal(-2.0, 0.1),
                    MarginalSpec.normal(1e6, 3e4)):
         for rate in (1.0, 3.0, 1e-4):
@@ -347,6 +344,34 @@ def test_importing_fhmix_leaves_scipy_integrate_unloaded():
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
             "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# seeded empirical marginals against each other family: each of their extremes
+# sums over the atoms, whose bits a BLAS dot product leaves to the kernel
+# OpenBLAS picks by CPU
+EXTREMES_SWEEP = """
+import numpy as np
+from fhmix import MarginalSpec, corr_extremes
+rng = np.random.default_rng(2024)
+others = [MarginalSpec.uniform(0.0, 1.0), MarginalSpec.normal(0.0, 1.0),
+          MarginalSpec.exponential(1.0), MarginalSpec.bernoulli(0.3)]
+for _ in range(2000):
+    k = int(rng.integers(2, 40))
+    emp = MarginalSpec.empirical(rng.normal(size=k), rng.dirichlet(np.ones(k)))
+    print(*(repr(corr_extremes(emp, m)) for m in others))
+"""
+
+
+def test_extremes_do_not_follow_the_openblas_core():
+    src = os.path.dirname(os.path.dirname(fhmix.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    default, haswell = (
+        subprocess.run([sys.executable, "-c", EXTREMES_SWEEP], env={**env, **extra}, check=True,
+                       capture_output=True, timeout=300).stdout
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Haswell"}))
+    assert default.count(b"\n") == 2000
+    assert default == haswell
 
 
 @pytest.mark.parametrize(
@@ -448,7 +473,6 @@ def test_extremes_invariant_symmetric_and_ordered(first, second):
     moved = corr_extremes(mi_moved, mj_moved)
     assert moved.rho_minus == pytest.approx(ext.rho_minus, abs=1e-12)
     assert moved.rho_plus == pytest.approx(ext.rho_plus, abs=1e-12)
-    assert moved.method == ext.method
     for a, b in ((mi, mj), (mi_moved, mj_moved)):
         e = corr_extremes(a, b)
         assert corr_extremes(b, a) == e

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from fhmix import DomainError, InvalidMarginalError, MarginalSpec, moments, quantile, quantile_jumps
+from fhmix import DomainError, InvalidMarginalError, MarginalSpec, moments, quantile
 from fhmix.marginals import _quantile_into
-from helpers import KS_ALPHA, ks_pvalue, mean_z, standard_normal_quantile, ulps
+from helpers import KS_ALPHA, ks_pvalue, mean_z, quantile_jumps, standard_normal_quantile, ulps
 
 ALL_FAMILIES = [
     MarginalSpec.uniform(0.0, 1.0),

@@ -36,6 +36,7 @@ def test_pair_always_feasible():
 def test_third_coordinate_blocks_pairwise_disagreement():
     w = lp_feasible([0.5] * 3, ConcurrenceMatrix.filled(3, 0.3))
     assert not w.feasible
+    assert bool(w) is False
     assert w.pmf is None
     assert "violation" in w.certificate
     assert w.max_residual > 0.05
@@ -44,6 +45,7 @@ def test_third_coordinate_blocks_pairwise_disagreement():
 def test_comonotone_five_dimensional_witness():
     w = lp_feasible([0.5] * 5, ConcurrenceMatrix.filled(5, 1.0))
     assert w.feasible
+    assert bool(w) is True
     assert w.pmf.probs[0] == pytest.approx(0.5, abs=1e-9)
     assert w.pmf.probs[-1] == pytest.approx(0.5, abs=1e-9)
     assert float(w.pmf.probs[1:-1].max()) <= 1e-9
@@ -234,6 +236,24 @@ UNCERTIFIED_BASIS_N12 = [24, 20, 36, 36, 44, 24, 24, 40, 52, 28, 24, 32, 36, 20,
 
 def test_a_dyadic_n12_plan_is_certified():
     conc = ConcurrenceMatrix.from_lower_triangle([v / 64 for v in UNCERTIFIED_BASIS_N12], 12)
+    plan = build_plan_from_concurrence([MarginalSpec.uniform(0.0, 1.0)] * 12, conc)
+    assert plan.feasible and plan.recipe.kind == "oracle_pmf"
+    assert pmf_residual(plan.recipe.pmf, [0.5] * 12, conc.entries) <= 1e-12
+
+
+# a feasible fair-coin input (lower triangle x16), the concurrences of a dyadic
+# complement-symmetric law.  The float simplex ends its reduced system on a
+# basis that is singular in exact arithmetic: exact mode cannot certify it, and
+# float mode's witness misses its marginal 11 row by 0.85
+SINGULAR_BASIS_N12 = [8, 9, 7, 9, 5, 8, 11, 11, 6, 10, 8, 10, 13, 7, 7, 8, 4, 7, 7, 9, 6, 3,
+                      7, 8, 10, 4, 9, 5, 10, 8, 9, 7, 9, 6, 10, 5, 8, 8, 9, 9, 11, 8, 8, 5,
+                      8, 7, 9, 6, 10, 10, 7, 7, 10, 5, 7, 7, 9, 10, 8, 8, 9, 7, 8, 11, 9, 2]
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalError,
+                   reason="exact mode takes no exact pivots past a singular float basis")
+def test_a_dyadic_n12_law_on_a_singular_float_basis_gets_a_plan():
+    conc = ConcurrenceMatrix.from_lower_triangle([v / 16 for v in SINGULAR_BASIS_N12], 12)
     plan = build_plan_from_concurrence([MarginalSpec.uniform(0.0, 1.0)] * 12, conc)
     assert plan.feasible and plan.recipe.kind == "oracle_pmf"
     assert pmf_residual(plan.recipe.pmf, [0.5] * 12, conc.entries) <= 1e-12

@@ -63,20 +63,20 @@ def mixture_correlation(plan, i, j) -> float:
 # ---------------------------------------------------------------------------
 
 def test_convexity_endpoints():
-    ext = CorrelationExtremes(-0.3, 0.8, "closed_form")
+    ext = CorrelationExtremes(-0.3, 0.8)
     assert convexity_from_correlation(0.8, ext) == 1.0
     assert convexity_from_correlation(-0.3, ext) == 0.0
 
 
 def test_convexity_exponential_zero_target():
-    ext = CorrelationExtremes(1.0 - math.pi ** 2 / 6.0, 1.0, "closed_form")
+    ext = CorrelationExtremes(1.0 - math.pi ** 2 / 6.0, 1.0)
     lam = convexity_from_correlation(0.0, ext)
     assert lam == pytest.approx(1.0 - 6.0 / math.pi ** 2, abs=1e-12)
     assert lam * ext.rho_plus + (1.0 - lam) * ext.rho_minus == pytest.approx(0.0, abs=1e-15)
 
 
 def test_convexity_out_of_range_reports_interval():
-    ext = CorrelationExtremes(-0.3, 0.8, "closed_form")
+    ext = CorrelationExtremes(-0.3, 0.8)
     with pytest.raises(UnachievableCorrelationError) as err:
         convexity_from_correlation(0.9, ext)
     assert err.value.rho_minus == -0.3 and err.value.rho_plus == 0.8
@@ -84,7 +84,7 @@ def test_convexity_out_of_range_reports_interval():
 
 
 def test_convexity_degenerate_interval():
-    ext = CorrelationExtremes(0.25, 0.25, "closed_form")
+    ext = CorrelationExtremes(0.25, 0.25)
     assert convexity_from_correlation(0.25, ext) == 0.5
     with pytest.raises(UnachievableCorrelationError):
         convexity_from_correlation(0.3, ext)
