@@ -255,7 +255,7 @@ class JointPMF:
     @functools.cached_property
     def _support_tables(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
         """Inversion tables over the k atoms of positive mass, built on first
-        use: the search tables (:func:`fhmix.inversion.levels`) of the running
+        use: the guide table (:func:`fhmix.inversion.levels`) of the running
         sums of ``probs`` taken at those atoms, the last set to 1.0; the
         atoms' indices; and an (n, k) ``uint64`` array whose row i is all
         ones where an atom's bit i is 1, else 0.
@@ -266,8 +266,9 @@ class JointPMF:
         2^n running sums, set to 1.0 from the last atom of positive mass on,
         finds.  That search never lands on an atom of zero mass, whose sum
         equals the one before it, nor past a float sum just short of 1.  A
-        search takes ceil(log2 k) steps: 8 for the 134 atoms of an n = 12
-        recipe, where all 2^n atoms would take 12."""
+        search takes one gather into the guide and at most ceil(log2(k + 1))
+        steps; the 134 atoms of an n = 12 recipe fall one to a cell, so one
+        step finds the atom."""
         support = np.flatnonzero(self.probs)
         cdf = np.cumsum(self.probs)[support]
         cdf[-1] = 1.0

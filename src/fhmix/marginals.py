@@ -176,8 +176,8 @@ class MarginalSpec:
             )
 
     @functools.cached_property
-    def _levels(self) -> tuple[np.ndarray, ...]:
-        """Search tables over an empirical's cumulative weights, built on
+    def _levels(self) -> inversion.Guide:
+        """The guide table of an empirical's cumulative weights, built on
         first use."""
         cumw = np.cumsum(np.asarray(self.weights, dtype=float))
         cumw[-1] = 1.0
@@ -214,10 +214,9 @@ def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray, work=None) -
     column v with a 64-byte stride, as in an (rows, 8) array.
 
     ``work``, if given, is an (intp, float64, bool) triple of arrays shaped
-    like ``u`` and a float64 array of shape (``kernels.TAIL_ROWS``, len(u)).
-    The triple is lent to the empirical search (:func:`fhmix.inversion.index`),
-    and the float arrays to the normal kernel (:func:`fhmix.kernels.ndtri_into`);
-    without it they allocate their own."""
+    like ``u`` that the empirical search (:func:`fhmix.inversion.index`)
+    uses in place of new ones.  The sampler evaluates the normal kernel
+    itself, once per piece for all its normal columns."""
     if m.family == "uniform":
         a, b = m.params
         np.multiply(u, b - a, out=out)
@@ -229,21 +228,26 @@ def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray, work=None) -
         np.negative(out, out=out)
         np.divide(out, rate, out=out)
     elif m.family == "normal":
-        mean, sd = m.params
         n = len(u)
-        index, edge, _, tails = work or (
-            np.empty(n), np.empty(n), None, np.empty((kernels.TAIL_ROWS, n)))
-        kernels.ndtri_into(u, out, (index.view(np.float64), edge, tails))
-        np.multiply(out, sd, out=out)
-        np.add(out, mean, out=out)
+        kernels.ndtri_into(u, out, (np.empty(n), np.empty(n), np.empty((kernels.TAIL_ROWS, n))))
+        _normal_from_z(m, out, out)
     elif m.family == "bernoulli":
         (p,) = m.params
         np.greater(u, 1.0 - p, out=out)
     else:  # empirical
         # the index is below len(values), as the cdf ends at 1.0 and u < 1:
         # "clip" is only the mode of take that writes into out unbuffered
-        np.take(m.values, inversion.index(m._levels, u, "left", work and work[:3]),
+        np.take(m.values, inversion.index(m._levels, u, "left", work),
                 out=out, mode="clip")
+    return out
+
+
+def _normal_from_z(m: MarginalSpec, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``mean + sd z`` of a normal marginal from standard normal quantiles
+    ``z``, written into ``out`` (which may be ``z``)."""
+    mean, sd = m.params
+    np.multiply(z, sd, out=out)
+    np.add(out, mean, out=out)
     return out
 
 

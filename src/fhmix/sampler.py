@@ -54,17 +54,21 @@ column.  So a batch's temporaries take a fixed amount of memory whatever
 its size.
 
 B is found by inversion of the recipe uniform over the running sums of the
-recipe's k atoms of positive mass alone, as a branchless binary search of
-ceil(log2 k) steps (:mod:`fhmix.inversion`): 8 for the 134 atoms of an
-n = 12 recipe, where the 2^n atoms of {0,1}^n would take 12.  The sums are
-those over all 2^n atoms, and an atom of zero mass is never drawn, so
-skipping those atoms changes no draw.  Coordinate i's coin is then a
-gather from a word per atom that is all ones where the atom's bit i is 1,
-which picks U or 1 - U by an exact bit select, and the column is mapped
-through its quantile by the same kernel :func:`fhmix.marginals.quantile`
-uses, straight into its column of the output.  The output is column-major
-(Fortran order), so every column is contiguous; ``np.ascontiguousarray``
-gives the row-major copy, with the same values.
+recipe's k atoms of positive mass alone, with a guide table
+(:mod:`fhmix.inversion`): one gather finds the atom's cell, and one
+comparison with the cdf the atom, for the 134 atoms of an n = 12 recipe,
+where a binary search takes 8 steps.  The sums are those over all 2^n atoms,
+and an atom of zero mass is never drawn, so skipping those atoms changes no
+draw.  Coordinate i's coin is then a gather from a word per atom that is
+all ones where the atom's bit i is 1, which picks U or 1 - U by an exact bit
+select, and the column is mapped through its quantile by the same kernel
+:func:`fhmix.marginals.quantile` uses, straight into its column of the
+output.  The normal columns share one quantile z = q(U) of the kernel per
+piece: U is a multiple of 2^-53, so 1 - U is exact and the kernel's
+q(1 - U) is -q(U) bit for bit, and the same bit select picks z or 0.0 - z
+before ``mean + sd z``.  The output is column-major (Fortran order), so
+every column is contiguous; ``np.ascontiguousarray`` gives the row-major
+copy, with the same values.
 """
 
 from __future__ import annotations
@@ -93,16 +97,16 @@ from .errors import (
     UnachievableCorrelationError,
 )
 # ``quantile`` stays importable from here: bench/tracing.py wraps it by name
-from .marginals import MarginalSpec, _quantile_into, quantile  # noqa: F401
+from .marginals import MarginalSpec, _normal_from_z, _quantile_into, quantile  # noqa: F401
 from .oracle import FLOAT_TOL, MAX_DIMENSION, lp_feasible
 
 #: slack when checking a target correlation against its extremes
 RHO_SLACK = 1e-9
 #: rows per piece: a batch of at most this many rows is one piece on the
 #: calling thread, a longer one is drawn in pieces on the worker threads; a
-#: scratch set takes ~4 MiB.  On 2 cores, 10^6 rows at n = 12 drew 1.9x as
-#: fast as on one thread in pieces of 2^16 rows, 1.6-1.85x in pieces of
-#: 2^14, 2^15 or 2^18 rows
+#: scratch set takes ~4 MiB.  On 2 shared cores, 10^6 rows of the draw-n12
+#: plans of seeds 7 and 11 drew 1.14-1.85x as fast as on one thread in
+#: pieces of 2^16 rows, and 1.12-1.69x in pieces of 2^15 or 2^17 rows
 PIECE_ROWS = 2 ** 16
 
 # For fair-coin marginals the probability that two coordinates agree equals
@@ -122,8 +126,9 @@ class BernoulliRecipe:
 
     ``alpha`` is its law's P(X = 111) (at n = 4, all coins agree).  The draw's
     tables over the law's atoms of positive mass (the pmf's
-    ``_support_tables``) are built on the first draw and cached, so compiling
-    a plan that is never drawn from costs nothing here.
+    ``_support_tables``: a guide table of their running sums and their coin
+    masks) are built on the first draw and cached, so compiling a plan that
+    is never drawn from costs nothing here.
     """
 
     kind: str  # "bivariate" | "trivariate" | "quadrivariate" | "oracle_pmf"
@@ -406,14 +411,20 @@ def _cpus() -> int:
 
 
 class _Scratch:
-    """Work arrays of one piece of at most ``rows`` rows."""
+    """Work arrays of one piece of at most ``rows`` rows.
+
+    Each array has one job per stage of :func:`_draw_piece`: once the atom
+    is found, ``edge`` and ``bit`` serve an empirical quantile's search and
+    the normal kernel, and once the other columns are drawn, ``v`` and
+    ``diff`` hold the normal quantile's mirror.
+    """
 
     def __init__(self, rows: int) -> None:
         self.u = np.empty(rows)
         self.atom_u = np.empty(rows)
         self.v = np.empty(rows, np.uint64)
         self.diff = np.empty(rows, np.uint64)
-        self.prefix = np.empty(rows, np.intp)
+        self.atom = np.empty(rows, np.intp)
         self.index = np.empty(rows, np.intp)
         self.edge = np.empty(rows)
         self.bit = np.empty(rows, bool)
@@ -441,22 +452,43 @@ def _draw_piece(marginals, tables, s: _Scratch, out: np.ndarray) -> None:
     v = s.v[:k]
     np.subtract(1.0, u, out=v.view(np.float64))
     diff = np.bitwise_xor(u.view(np.uint64), v, out=s.diff[:k])
-    levels, _, masks = tables
+    guide, _, masks = tables
     e, b, w = s.edge[:k], s.bit[:k], s.w[:k]
     # each row's position among the recipe's atoms of positive mass
-    p = inversion.index(levels, atom_u, "right", (s.prefix[:k], e, b))
+    p = inversion.index(guide, atom_u, "right", (s.atom[:k], e, b))
+    # e and b are idle once p is found: lend them to an empirical quantile's
+    # search and to the normal kernel, so a worker thread allocates no column
+    work = s.index[:k], e, b
+    normals = [i for i, m in enumerate(marginals) if m.family == "normal"]
     for i, m in enumerate(marginals):
-        # w = u where the atom's bit i is 1, else 1 - u: the mask is all ones
-        # or all zeros, so w's bits are exactly u's or 1 - u's; p is below
-        # the number of atoms, so "clip" is only the mode of take that
-        # writes into w unbuffered
-        masks[i].take(p, out=w, mode="clip")
-        w &= diff
-        w ^= v
-        # e and b are idle once p is found: lend them to an empirical
-        # quantile's search or the normal kernel, so a worker thread
-        # allocates no column
-        _quantile_into(m, w.view(np.float64), out[:, i], (s.index[:k], e, b, s.tails))
+        if m.family != "normal":
+            _select(masks[i], p, diff, v, w)  # U or 1 - U
+            _quantile_into(m, w.view(np.float64), out[:, i], work)
+    if not normals:
+        return
+    # one normal quantile z = q(U) serves every normal column: U is a multiple
+    # of 2^-53, so 1 - U is exact and the kernel gives q(1 - U) = -q(U) bit for
+    # bit; the mirror is 0.0 - z, which is +0.0 where U = 1/2 = 1 - U, as
+    # q(1/2) is.  u, v and diff are idle now, so v and diff hold the mirror
+    z = kernels.ndtri_into(u, out[:, normals[0]], (s.index[:k].view(np.float64), e, s.tails))
+    np.subtract(0.0, z, out=v.view(np.float64))
+    np.bitwise_xor(z.view(np.uint64), v, out=diff)
+    for i in normals[1:] + normals[:1]:  # z's own column last
+        _select(masks[i], p, diff, v, w)  # z or its mirror
+        _normal_from_z(marginals[i], w.view(np.float64), out[:, i])
+
+
+def _select(mask: np.ndarray, p: np.ndarray, diff: np.ndarray, v: np.ndarray,
+            w: np.ndarray) -> None:
+    """Into ``w``, the bits of the first of two columns where the drawn atom's
+    coin is 1, else of the second ``v``; ``diff`` is the two XORed.
+
+    The mask is all ones or all zeros, so the select is exact; p is below the
+    number of atoms, so "clip" is only the mode of take that writes into w
+    unbuffered."""
+    mask.take(p, out=w, mode="clip")
+    w &= diff
+    w ^= v
 
 
 def _require_feasible(plan: SamplingPlan) -> None:

@@ -206,7 +206,9 @@ def test_the_support_search_finds_the_atom_of_the_full_search(pmf, query_seed):
     tables, support, masks = pmf._support_tables
     found = support[inversion.index(tables, x, "right")]
     assert np.array_equal(found, np.searchsorted(cdf, x, "right"))
-    assert len(tables) == max(1, (len(support) - 1).bit_length())
+    # a gather into the guide table, then at most ceil(log2(k + 1)) steps
+    assert len(tables.cells) <= 2 ** 16
+    assert tables.steps <= math.ceil(math.log2(len(support) + 1))
     # row i of the masks is each atom's bit i, as all ones or all zeros
     bits = _bit_table(pmf.n)[support].T.astype(np.uint64)
     assert np.array_equal(masks, bits * np.uint64(2 ** 64 - 1))

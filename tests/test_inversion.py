@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -53,11 +56,72 @@ def test_index_equals_searchsorted(cdf, seed):
         assert index(tables, x[0], side) == np.searchsorted(cdf, x[0], side)
 
 
-def test_levels_are_the_midpoints_of_the_padded_cdf():
-    cdf = np.array([0.1, 0.3, 0.6, 0.8, 1.0])  # padded to 8 entries with 1.0
-    tables = levels(cdf)
-    assert [t.tolist() for t in tables] == [[0.8], [0.3, 1.0], [0.1, 0.6, 1.0, 1.0]]
-    assert len(levels(np.array([1.0]))) == 1
+def test_levels_is_the_guide_table_of_the_cdf():
+    # 16 cells, the fewest >= 2k that part the entries below 1; cell c holds
+    # #{cdf < c/16}, and the cdf is padded with 2^1 - 1 sentinels
+    cdf = np.array([0.1, 0.3, 0.6, 0.8, 1.0])
+    guide = levels(cdf)
+    assert guide.cells.tolist() == [0, 0, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+    assert guide.cdf.tolist() == [0.1, 0.3, 0.6, 0.8, 1.0, 2.0] and guide.steps == 1
+    # 0.25 and 0.3 share a cell of 8 and of 16, not of 32
+    assert len(levels(np.array([0.25, 0.3, 1.0])).cells) == 32
+    # equal sums share every cell: the table stops at 2^16 cells, and the
+    # search takes two steps
+    guide = levels(np.array([0.5, 0.5, 1.0]))
+    assert len(guide.cells) == 2 ** 16 and guide.steps == 2
+    assert guide.cdf.tolist() == [0.5, 0.5, 1.0, 2.0, 2.0, 2.0]
+    guide = levels(np.array([1.0]))
+    assert guide.cells.tolist() == [0, 0] and guide.steps == 0
+
+
+def on_cell_edges(g: int) -> np.ndarray:
+    """Entries c / 2^g for every other c, each on an edge of the 2^g cells
+    that part them."""
+    return np.append(np.arange(1, 2 ** (g - 1)) * 2.0 / 2 ** g, 1.0)
+
+
+def crowded_cell(k: int) -> np.ndarray:
+    """k - 1 entries 1e-12 apart inside one cell of 2^16, then 1.0."""
+    return np.append(0.3 + 1e-12 * np.arange(k - 1), 1.0)
+
+
+def normalized(w: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(w / w.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+def tiny_weights(k: int) -> np.ndarray:
+    """Weights from 1 down to 1e-300: the small ones add nothing to the
+    sums, so runs of equal entries share every cell."""
+    return normalized(10.0 ** -np.linspace(0.0, 300.0, k))
+
+
+@pytest.mark.parametrize("cdf", [
+    on_cell_edges(4), on_cell_edges(13), crowded_cell(2000), tiny_weights(60),
+    tiny_weights(700), np.array([1.0]), np.arange(1, 4097) / 4096,
+    normalized(np.random.default_rng(3).random(4096)),
+], ids=["edges-16", "edges-8192", "crowded-2000", "tiny-60", "tiny-700", "k-1",
+        "dyadic-4096", "random-4096"])
+def test_guide_searches_are_short_and_exact(cdf):
+    k = len(cdf)
+    guide = levels(cdf)
+    assert len(guide.cells) <= 2 ** 16
+    assert guide.steps <= math.ceil(math.log2(k + 1))
+    x = np.concatenate([queries(cdf, np.random.default_rng(k)),
+                        np.arange(len(guide.cells)) / len(guide.cells)])
+    for side in SIDES:
+        assert np.array_equal(index(guide, x, side), np.searchsorted(cdf, x, side))
+
+
+def test_guide_steps_follow_the_most_entries_in_a_cell():
+    # entries one to a cell take one step; 2000 in one cell take 11
+    assert levels(on_cell_edges(13)).steps == 1
+    assert levels(np.arange(1, 4097) / 4096).steps == 1
+    assert levels(crowded_cell(2000)).steps == 11
+    # the tiny weights' equal sums crowd a cell of 2^16 too
+    tiny = levels(tiny_weights(700))
+    assert len(tiny.cells) == 2 ** 16 and tiny.steps > 1
 
 
 def test_index_searches_in_lent_arrays():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 import sys
@@ -864,3 +865,60 @@ def test_wide_rows_draw_the_kernel_quantiles():
     for i, m in enumerate(ms):
         forwards, backwards = quantile(m, u), quantile(m, 1.0 - u)
         assert ((values[:, i] == forwards) | (values[:, i] == backwards)).all()
+
+
+NORMALS = [MarginalSpec.normal(-0.0, 2.0), MarginalSpec.normal(1.5, 0.25),
+           MarginalSpec.normal(-3.0, 7.0)]
+NORMAL_MIX = [NORMALS[0], UNIFORM, NORMALS[1], MIXED[4], NORMALS[2]]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_normal_columns_share_one_quantile_bit_for_bit():
+    # a piece evaluates the normal kernel once, at U, and every normal
+    # column is still the quantile of its row's U or 1 - U, bit for bit;
+    # 3 * 2^16 + 5 rows are drawn in four pieces on the worker threads
+    plan = build_plan_from_concurrence(NORMAL_MIX, ConcurrenceMatrix.filled(5, 0.5))
+    count = 3 * sampler.PIECE_ROWS + 5
+    values = sample_batch(plan, count, seed=12).values
+    u = _generator(12, 0).random((count, 2))[:, 0]
+    for i, m in enumerate(NORMAL_MIX):
+        forwards, backwards = _bits(quantile(m, u)), _bits(quantile(m, 1.0 - u))
+        got = _bits(values[:, i])
+        assert ((got == forwards) | (got == backwards)).all()
+        assert (got == forwards).any() and (got == backwards).any()
+    # at U = 1/2 both sides read quantile(m, 0.5), +0.0 + mean, whichever
+    # way each coin falls: +0.0 for normal(-0.0, 2.0), where -(+0.0) + mean
+    # would be -0.0
+    atom_uniforms = np.arange(64) / 64
+    coins = _drawn_atoms(_recipe_plan(plan.recipe.pmf), atom_uniforms)[:, None] >> np.arange(5)
+    assert ((coins & 1).min(axis=0) == 0).all() and ((coins & 1).max(axis=0) == 1).all()
+    rows = _batch_values(plan, 64, _ScriptedGenerator(0.5, atom_uniforms))
+    assert (_bits(rows) == _bits([quantile(m, 0.5) for m in NORMAL_MIX])).all()
+
+
+def test_zero_uniform_draws_the_median_of_every_normal():
+    # U = 0 is drawn as U = 1/2; the first atom of positive mass, all coins
+    # 0, rides 1 - U in every column
+    plan = build_plan_from_concurrence(NORMAL_MIX, ConcurrenceMatrix.filled(5, 0.5))
+    assert plan.recipe.pmf.probs[0] > 0.0
+    rows = _batch_values(plan, 3, _ZeroGenerator())
+    assert (_bits(rows) == _bits([quantile(m, 0.5) for m in NORMAL_MIX])).all()
+    assert math.copysign(1.0, rows[0, 0]) == 1.0
+
+
+def test_closed_form_sample_bytes_are_pinned():
+    # a closed-form n = 4 plan, which runs through no LP or BLAS kernel: two
+    # normal columns, a uniform and an empirical, whose bits do not follow
+    # numpy's SIMD dispatch (an exponential's log1p would); 3 * 2^16 + 5 rows
+    # are drawn in four pieces on the worker threads
+    ms = [MarginalSpec.normal(0.5, 2.0), MarginalSpec.uniform(-1.0, 2.0),
+          MarginalSpec.normal(-0.0, 0.75),
+          MarginalSpec.empirical([-1.0, 4.0, 6.0, 7.0, 8.0], [0.125, 0.375, 0.025, 0.275, 0.2])]
+    plan = build_plan(ms, CorrelationMatrix.from_lower_triangle([0.3, -0.2, 0.1, 0.4, 0.0, -0.1], 4))
+    assert plan.recipe.kind == "quadrivariate"
+    values = sample_batch(plan, 3 * sampler.PIECE_ROWS + 5, seed=17, stream_id=2).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == (
+        "2d2d672090e90286c39d62a710e9e3a8a8d885ccf22a731140e7bca881a912ac")
