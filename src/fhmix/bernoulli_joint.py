@@ -256,7 +256,7 @@ class JointPMF:
     def _support_tables(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
         """Inversion tables over the k atoms of positive mass, built on first
         use: the guide table (:func:`fhmix.inversion.levels`) of the running
-        sums of ``probs`` taken at those atoms, the last set to 1.0; the
+        sums of ``probs`` taken at those atoms, the last taken as 1.0; the
         atoms' indices; and an (n, k) ``uint64`` array whose row i is all
         ones where an atom's bit i is 1, else 0.
 
@@ -271,7 +271,6 @@ class JointPMF:
         step finds the atom."""
         support = np.flatnonzero(self.probs)
         cdf = np.cumsum(self.probs)[support]
-        cdf[-1] = 1.0
         shifts = np.arange(self.n - 1, -1, -1, dtype=np.uint64)[:, None]
         masks = -((support.astype(np.uint64) >> shifts) & np.uint64(1))
         return inversion.levels(cdf), support, masks
@@ -641,8 +640,8 @@ def quadrivariate_lifted_pmf(conc: ConcurrenceMatrix, alpha: float) -> JointPMF:
     """Full 16-atom law of (B1, ..., B4) induced by the reduced system.
 
     The :func:`lift` of :func:`quadrivariate_pmf`, which is exactly the law
-    :func:`quadrivariate_sample` draws from.  Useful when a single atom-pmf
-    sampling path is wanted for n = 4.
+    :func:`quadrivariate_sample` draws from, and the recipe that
+    :func:`fhmix.sampler.build_plan` compiles and draws at n = 4.
     """
     pmf = lift(quadrivariate_pmf(conc, alpha))
     (l14, l24, l34), (l12, l13, l23) = _quad_system(conc)

@@ -136,20 +136,6 @@ def parse_config(text: str) -> JobConfig:
     )
 
 
-def serialize_config(cfg: JobConfig) -> str:
-    """Canonical JSON for a config; parse(serialize(parse(t))) == parse(t)."""
-    doc: dict = {"marginals": [_marginal_record(m) for m in cfg.marginals]}
-    if cfg.correlation is not None:
-        doc["correlation"] = list(cfg.correlation)
-    else:
-        doc["concurrence"] = list(cfg.concurrence or ())
-    doc["count"] = cfg.count
-    doc["seed"] = cfg.seed
-    doc["streams"] = cfg.streams
-    doc["alpha_policy"] = "midpoint" if cfg.alpha is None else {"explicit": cfg.alpha}
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _parse_marginal(record, index: int) -> MarginalSpec:
     if not isinstance(record, dict) or "family" not in record:
         raise ConfigError(f"marginal {index + 1} must be an object with a 'family'")
@@ -178,14 +164,6 @@ def _parse_marginal(record, index: int) -> MarginalSpec:
             None if weights is None else [_require_number(w, "weights") for w in weights])
     except FhmixError as exc:
         raise ConfigError(f"marginal {index + 1}: {exc}") from exc
-
-
-def _marginal_record(m: MarginalSpec) -> dict:
-    if m.family == "empirical":
-        return {"family": "empirical", "values": list(m.values or ()),
-                "weights": list(m.weights or ())}
-    return {"family": m.family,
-            **dict(zip(_FAMILY_FIELDS[m.family], m.params))}
 
 
 def _require_number(v, name: str) -> float:
@@ -258,9 +236,8 @@ def cmd_plan(cfg: JobConfig, out_path: str | None) -> int:
     doc = {
         "n": plan.n,
         "marginals": [str(m) for m in plan.marginals],
-        "lambda": [[round(v, 12) for v in row] for row in plan.lam.entries.tolist()],
-        "target_correlation": [[round(v, 12) for v in row]
-                               for row in plan.target_corr.entries.tolist()],
+        "lambda": plan.lam.entries.tolist(),
+        "target_correlation": plan.target_corr.entries.tolist(),
         "feasible": plan.feasible,
         "recipe": plan.recipe.kind if plan.recipe else None,
         "alpha": plan.recipe.alpha if plan.recipe else None,

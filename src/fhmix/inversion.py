@@ -39,13 +39,16 @@ class Guide(NamedTuple):
 def levels(cdf: np.ndarray) -> Guide:
     """The guide table of ``cdf`` and the length of the search in a cell.
 
-    ``cdf`` must be nondecreasing and end at 1.0, so no x < 1 is ever counted
-    past its end.  The table has the fewest cells, a power of two at least
-    2k for k entries, that put at most one entry below 1 in a cell, or
-    ``MAX_CELLS`` if none up to it does.  So a search takes at most
-    ceil(log2(k + 1)) steps, and one where the entries are apart.
+    ``cdf`` must be nondecreasing.  Its last entry is taken as 1.0 (a float
+    running sum of a law's masses may end just short of it), so no x < 1 is
+    ever counted past its end; ``cdf`` itself is not changed.  The table has
+    the fewest cells, a power of two at least 2k for k entries, that put at
+    most one entry below 1 in a cell, or ``MAX_CELLS`` if none up to it
+    does.  So a search takes at most ceil(log2(k + 1)) steps, and one where
+    the entries are apart.
     """
-    cdf = np.asarray(cdf, dtype=float)
+    cdf = np.array(cdf, dtype=float)
+    cdf[-1] = 1.0
     inner = cdf[:np.searchsorted(cdf, 1.0)]
     # two entries share a cell of 2^g exactly when their cells of MAX_CELLS
     # agree in the top g bits, so the first bit where neighbours differ, from

@@ -10,7 +10,6 @@ construction: correlation targets are meaningless for them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +49,10 @@ class MarginalSpec:
     of a draw, is not finite is rejected.  Scale-robust formulas would accept
     more of them, but would change the bytes drawn for every uniform and
     normal column.
+
+    An empirical spec builds the guide table its quantile searches
+    (:func:`fhmix.inversion.levels`) once, on construction; the table is not
+    a field, so it takes no part in ``==``, ``hash`` or ``repr``.
 
     Instances are immutable and hashable, safe to share across threads.
     """
@@ -120,9 +123,12 @@ class MarginalSpec:
                 merged[v] = merged.get(v, 0.0) + w
             vals = sorted(v for v, w in merged.items() if w != 0.0)
             wts = [merged[v] for v in vals]
-        # the checks see the weights as given; the spec keeps them normalized
-        cls("empirical", (), values=tuple(vals), weights=tuple(wts))
+        # the checks see the weights as given; the spec keeps them normalized,
+        # and w / 1.0 is w, so weights summing to exactly 1 need no second spec
+        spec = cls("empirical", (), values=tuple(vals), weights=tuple(wts))
         total = math.fsum(wts)
+        if total == 1.0:
+            return spec
         return cls("empirical", (), values=tuple(vals), weights=tuple(w / total for w in wts))
 
     # -- validation ---------------------------------------------------------
@@ -174,14 +180,8 @@ class MarginalSpec:
             raise InvalidMarginalError(
                 f"weights sum to {total!r}, expected 1 within {_WEIGHT_SUM_TOL}"
             )
-
-    @functools.cached_property
-    def _levels(self) -> inversion.Guide:
-        """The guide table of an empirical's cumulative weights, built on
-        first use."""
-        cumw = np.cumsum(np.asarray(self.weights, dtype=float))
-        cumw[-1] = 1.0
-        return inversion.levels(cumw)
+        # the guide table of the cumulative weights, which the quantile searches
+        object.__setattr__(self, "_levels", inversion.levels(np.cumsum(wts)))
 
     def __str__(self) -> str:
         if self.family == "empirical":
@@ -225,8 +225,7 @@ def _quantile_into(m: MarginalSpec, u: np.ndarray, out: np.ndarray, work=None) -
         (rate,) = m.params
         np.negative(u, out=out)
         np.log1p(out, out=out)
-        np.negative(out, out=out)
-        np.divide(out, rate, out=out)
+        np.divide(out, -rate, out=out)  # x / -r is -(x / r) bit for bit
     elif m.family == "normal":
         n = len(u)
         kernels.ndtri_into(u, out, (np.empty(n), np.empty(n), np.empty((kernels.TAIL_ROWS, n))))

@@ -40,7 +40,9 @@ the numpy kernels of a piece release the GIL.  The calling thread draws
 each piece's uniforms in row order and copies them into a scratch set
 before it hands the piece to a worker, and each worker writes only its
 piece's rows, so the bytes are the same for any piece size or worker count.
-The scratch sets, one per worker, are allocated on the calling thread.
+The scratch sets, one per worker, are allocated on the calling thread, and
+so are the recipe's search tables, built lazily on its first draw; an
+empirical marginal's guide table is built with its spec.
 Once every set is in flight, the next piece waits for the first of them to
 finish, in whatever order, and loads its set, so at most one piece per
 worker is in flight and no core idles behind a slower piece.
@@ -128,7 +130,8 @@ class BernoulliRecipe:
     tables over the law's atoms of positive mass (the pmf's
     ``_support_tables``: a guide table of their running sums and their coin
     masks) are built on the first draw and cached, so compiling a plan that
-    is never drawn from costs nothing here.
+    is never drawn from costs nothing here.  They are the only tables a draw
+    builds: an empirical marginal's guide table is built with its spec.
     """
 
     kind: str  # "bivariate" | "trivariate" | "quadrivariate" | "oracle_pmf"
@@ -374,11 +377,9 @@ def _integer(v, name: str, low: int) -> int:
 
 
 def _batch_values(plan: SamplingPlan, count: int, rng: np.random.Generator) -> np.ndarray:
-    # build the lazily cached search tables here, so no worker builds them
+    # build the recipe's lazily cached tables here, so no worker builds them;
+    # an empirical marginal built its own with its spec
     tables = plan.recipe.pmf._support_tables
-    for m in plan.marginals:
-        if m.family == "empirical":
-            m._levels
     out = np.empty((count, plan.n), order="F")  # each column contiguous
     if count <= PIECE_ROWS:
         _draw_piece(plan.marginals, tables, _Scratch(count).load(rng, count), out)

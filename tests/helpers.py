@@ -7,6 +7,7 @@ dense linear solves or interval geometry, and z-scores use known moments.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -22,10 +23,13 @@ from fhmix import (
     JointPMF,
     MarginalSpec,
     atom_bits,
+    inversion,
     moments,
     quantile,
 )
 from fhmix.bernoulli_joint import _bit_table
+from fhmix.cli import JobConfig
+from fhmix.marginals import _FAMILY_FIELDS
 
 KS_ALPHA = 1e-3
 
@@ -329,6 +333,13 @@ def leaky_lift(real_lift):
     return leaky
 
 
+def spy_on_levels(monkeypatch) -> list:
+    """The lengths of the cdfs passed to ``inversion.levels`` from now on."""
+    calls, real = [], inversion.levels
+    monkeypatch.setattr(inversion, "levels", lambda cdf: calls.append(len(cdf)) or real(cdf))
+    return calls
+
+
 class FixedCoin:
     """Duck-typed stand-in for a Generator whose next coin flip is forced."""
 
@@ -339,3 +350,30 @@ class FixedCoin:
         if size is None:
             return self.value
         return np.full(size, self.value, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# config files
+# ---------------------------------------------------------------------------
+
+def serialize_config(cfg: JobConfig) -> str:
+    """Canonical JSON for a config; parse(serialize(parse(t))) == parse(t)."""
+    doc: dict = {"marginals": [marginal_record(m) for m in cfg.marginals]}
+    if cfg.correlation is not None:
+        doc["correlation"] = list(cfg.correlation)
+    else:
+        doc["concurrence"] = list(cfg.concurrence or ())
+    doc["count"] = cfg.count
+    doc["seed"] = cfg.seed
+    doc["streams"] = cfg.streams
+    doc["alpha_policy"] = "midpoint" if cfg.alpha is None else {"explicit": cfg.alpha}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def marginal_record(m: MarginalSpec) -> dict:
+    """The config file's object for ``m``."""
+    if m.family == "empirical":
+        return {"family": "empirical", "values": list(m.values or ()),
+                "weights": list(m.weights or ())}
+    return {"family": m.family,
+            **dict(zip(_FAMILY_FIELDS[m.family], m.params))}

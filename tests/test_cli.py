@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from fhmix import cli, sampler
-from fhmix.cli import main, parse_config, serialize_config
+from fhmix.cli import main, parse_config
 from fhmix.errors import ConfigError, NumericalError
+from helpers import serialize_config
 
 
 def write_config(tmp_path, doc, name="job.json"):
@@ -190,6 +191,21 @@ def test_plan_command_feasible(tmp_path, capsys):
     lo, hi = doc["alpha_interval"]
     assert lo == pytest.approx(0.0, abs=1e-8)
     assert hi == pytest.approx(0.25, abs=1e-8)
+
+
+def test_plan_command_writes_the_plan_exactly(tmp_path, capsys):
+    doc = {
+        "marginals": [{"family": "exponential", "rate": 1.0},
+                      {"family": "uniform", "a": 0.0, "b": 3.0},
+                      {"family": "empirical", "values": [0.0, 1.0, 5.0]}],
+        "correlation": [0.3, -0.2, 0.1],
+    }
+    path = write_config(tmp_path, doc)
+    assert main(["plan", "--config", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    plan = cli._plan_from_config(parse_config(json.dumps(doc)))
+    assert report["lambda"] == plan.lam.entries.tolist()
+    assert report["target_correlation"] == plan.target_corr.entries.tolist()
 
 
 def test_plan_command_infeasible_cites_sum(tmp_path, capsys):

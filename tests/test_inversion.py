@@ -124,6 +124,20 @@ def test_guide_steps_follow_the_most_entries_in_a_cell():
     assert len(tiny.cells) == 2 ** 16 and tiny.steps > 1
 
 
+@pytest.mark.parametrize("k", [1, 5, 600])
+def test_levels_takes_the_last_entry_as_one(k):
+    # a float running sum may end just short of 1; the table is that of the
+    # cdf ending at 1.0, and the caller's array is left as it is
+    cdf = normalized(np.random.default_rng(k).random(k))
+    short = cdf.copy()
+    short[-1] = 1.0 - 2.0 ** -53
+    before = short.tobytes()
+    got, want = levels(short), levels(cdf)
+    assert short.tobytes() == before
+    assert np.array_equal(got.cells, want.cells) and got.steps == want.steps
+    assert got.cdf.tobytes() == want.cdf.tobytes() and got.cdf[k - 1] == 1.0
+
+
 def test_index_searches_in_lent_arrays():
     cdf = np.array([0.1, 0.3, 0.6, 0.8, 1.0])
     x = np.random.default_rng(5).random(1000)

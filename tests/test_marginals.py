@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,15 @@ from scipy.special import ndtr
 
 from fhmix import DomainError, InvalidMarginalError, MarginalSpec, moments, quantile
 from fhmix.marginals import _quantile_into
-from helpers import KS_ALPHA, ks_pvalue, mean_z, quantile_jumps, standard_normal_quantile, ulps
+from helpers import (
+    KS_ALPHA,
+    ks_pvalue,
+    mean_z,
+    quantile_jumps,
+    spy_on_levels,
+    standard_normal_quantile,
+    ulps,
+)
 
 ALL_FAMILIES = [
     MarginalSpec.uniform(0.0, 1.0),
@@ -99,6 +109,15 @@ def test_public_and_sampler_quantiles_agree_bit_for_bit(m):
         assert ulps(z[~central], want[~central]).max() <= 4
     else:
         assert got == reference_quantile(m, u).tobytes()
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-5, 0.25, 1.0, 3.0, 7.1, 1e12, 1e300])
+def test_exponential_quantile_is_minus_log1p_over_rate(rate):
+    u = np.concatenate([np.random.default_rng(5).random(2 ** 20),
+                        [2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 5e-324, 1e-310, 2.0 ** -1022]])
+    u = u[u > 0.0]
+    got = quantile(MarginalSpec.exponential(rate), u)
+    assert got.tobytes() == (-np.log1p(-u) / rate).tobytes()
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, math.nan])
@@ -213,6 +232,31 @@ def test_empirical_merges_ties_and_sorts():
     m = MarginalSpec.empirical([2.0, 1.0, 2.0], [0.25, 0.5, 0.25])
     assert m.values == (1.0, 2.0)
     assert m.weights == (0.5, 0.5)
+
+
+def test_an_empirical_spec_builds_its_guide_table_once(monkeypatch):
+    calls = spy_on_levels(monkeypatch)
+    m = MarginalSpec.empirical(np.arange(48.0), [1 / 64] * 32 + [1 / 32] * 16)
+    assert calls == [48] and "_levels" in vars(m)
+    assert m._levels.steps == 1 and m._levels.cdf[47] == 1.0
+    calls.clear()
+    # weights short of 1 are checked as given, then normalized: two specs
+    m = MarginalSpec.empirical([0.0, 1.0, 2.0], [0.5, 0.25, 0.25 - 1e-13])
+    assert calls == [3, 3] and math.fsum(m.weights) == 1.0
+    calls.clear()
+    for other in ALL_FAMILIES:
+        if other.family != "empirical":
+            MarginalSpec(other.family, other.params)
+    assert calls == []
+
+
+def test_an_empirical_spec_keeps_its_table_through_pickle_and_replace():
+    m = MarginalSpec.empirical([0.0, 1.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4])
+    for other in (pickle.loads(pickle.dumps(m)), dataclasses.replace(m)):
+        assert other == m and hash(other) == hash(m) and repr(other) == repr(m)
+        assert other._levels.steps == m._levels.steps
+        assert np.array_equal(other._levels.cells, m._levels.cells)
+        assert other._levels.cdf.tobytes() == m._levels.cdf.tobytes()
 
 
 @pytest.mark.parametrize(

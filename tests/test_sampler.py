@@ -47,6 +47,7 @@ from helpers import (
     mean_z,
     pmf_residual,
     random_pmf,
+    spy_on_levels,
 )
 
 UNIFORM = MarginalSpec.uniform(0.0, 1.0)
@@ -907,6 +908,19 @@ def test_zero_uniform_draws_the_median_of_every_normal():
     rows = _batch_values(plan, 3, _ZeroGenerator())
     assert (_bits(rows) == _bits([quantile(m, 0.5) for m in NORMAL_MIX])).all()
     assert math.copysign(1.0, rows[0, 0]) == 1.0
+
+
+def test_a_draw_builds_only_the_recipe_table(monkeypatch):
+    # an empirical marginal's guide table comes with its spec; the first
+    # draw builds the recipe's, over its atoms of positive mass, and no other
+    ms = [MarginalSpec.empirical(np.arange(8.0)), UNIFORM, EXP,
+          MarginalSpec.empirical([0.0, 1.0, 5.0], [0.25, 0.5, 0.25])]
+    plan = build_plan(ms, CorrelationMatrix.from_lower_triangle([0.2, 0.1, -0.1, 0.3, 0.0, 0.1], 4))
+    calls = spy_on_levels(monkeypatch)
+    sample_batch(plan, 100, seed=3)
+    assert calls == [np.count_nonzero(plan.recipe.pmf.probs)]
+    sample_batch(plan, 100, seed=4)
+    assert len(calls) == 1
 
 
 def test_closed_form_sample_bytes_are_pinned():
