@@ -360,7 +360,7 @@ def asymmetric_pair_feasible(p: float, q: float, r: float) -> bool:
     p = _check_unit_interval(p, "p")
     q = _check_unit_interval(q, "q")
     r = _check_unit_interval(r, "r")
-    return trivariate_feasible(r, p, q)
+    return _triangle_holds(r, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +543,7 @@ def trivariate_sample_direct(
     Returns a bit triple, or a (size, 3) array when ``size`` is given.
     """
     l12, l13, l23 = _fair_lambdas(lam12, lam13, lam23)
-    if not trivariate_feasible(l12, l13, l23):
+    if not _triangle_holds(l12, l13, l23):
         raise InfeasibleError(
             f"infeasible concurrence matrix: {_sum_bound_failure(l12, l13, l23)}")
     lo2 = 0.5 * (1.0 + l13 - l23 - l12)

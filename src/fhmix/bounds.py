@@ -102,9 +102,7 @@ def corr_extremes(mi: MarginalSpec, mj: MarginalSpec) -> CorrelationExtremes:
     # breakpoints, (v[k + 1], v[k]]
     rho_plus = _clip_corr(math.fsum((z * np.diff(_primitive(b, u, v))).tolist()))
     rho_minus = _clip_corr(-math.fsum((z * np.diff(_primitive(b, v, u))).tolist()))
-    if rho_minus > rho_plus:
-        if rho_minus - rho_plus > 1e-9:
-            raise NumericalError(f"rho_minus={rho_minus} exceeds rho_plus={rho_plus}")
+    if 0.0 < rho_minus - rho_plus <= 1e-9:  # rounding at a zero-width interval
         rho_minus = rho_plus
     return CorrelationExtremes(rho_minus, rho_plus)
 

@@ -37,7 +37,6 @@ import itertools
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -351,27 +350,28 @@ def _csv_blocks(path: str, n: int):
             if header.split(",") != [f"x{i + 1}" for i in range(n)]:
                 raise ConfigError(f"{path}: expected header x1,...,x{n}, got {header!r}")
             for b, lines in enumerate(iter(lambda: list(itertools.islice(fh, CHUNK_ROWS)), [])):
-                block = _numbers(lines, n)
+                data = [line for line in lines if line.strip()]  # a blank line is no row
+                if not data:
+                    continue
+                block = _numbers(data, n)
                 if block is None:
-                    k = next((k for k, line in enumerate(lines) if _numbers([line], n) is None), 0)
+                    k = next((k for k, line in enumerate(lines)
+                              if line.strip() and _numbers([line], n) is None), 0)
                     raise ConfigError(f"{path}: malformed CSV: data row {b * CHUNK_ROWS + k + 1} "
                                       f"is not {n} finite numbers: {lines[k].strip()[:80]!r}")
-                if block.size:
-                    yield block
+                yield block
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _numbers(lines: list[str], n: int) -> np.ndarray | None:
-    """``np.loadtxt`` of ``lines`` if it reads no row or n columns of finite
-    numbers (a nan would hide from max |z|), else None."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a blank line is "no data"
-        try:
-            block = np.loadtxt(lines, delimiter=",", ndmin=2)
-        except ValueError:
-            return None
-    return block if block.size == 0 or block.shape[1] == n and np.isfinite(block).all() else None
+    """``np.loadtxt`` of nonblank ``lines`` if each is n finite numbers (a nan
+    would hide from max |z|), else None; '#' starts no comment."""
+    try:
+        block = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return block if block.shape[1] == n and np.isfinite(block).all() else None
 
 
 def _concurrence_target(plan: SamplingPlan, i: int, j: int) -> float | None:

@@ -21,6 +21,10 @@ exponent and the separator.  What a value does not use is NUL, and one
 boolean mask per sub-block drops the NULs.  A value's slot depends only
 on its digits and on its class (sign, decimal exponent, one digit or more),
 which picks a row of each layout table.
+
+Only finite values have a text: a draw evaluates its monotone quantiles on
+[2^-53, 1 - 2^-53], where every spec's are finite, so an inf or a nan is a
+fault, and :func:`csv_bytes` raises :class:`NumericalError` on it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .errors import NumericalError
 
 #: values formatted at a time, so that their temporaries stay in the CPU's caches
 SUB_VALUES = 1 << 13
@@ -39,12 +45,12 @@ _E_COUNT = _E_MAX - _E_MIN + 1
 _SLOT = 32  # bytes: sign 0, "0.000" 3-7, digits 8-25, exponent 26-30, separator 31
 _DIGITS = 8  # byte of the first digit place; 17 places, and one more for the point
 _EXPONENT = 26
-_SPECIAL = 4 * _E_COUNT  # classes of inf, -inf and nan, after the finite ones
 
 
 def csv_bytes(block: np.ndarray) -> bytes:
     """The CSV lines of a 2-D float64 block: the ``repr`` of each value,
-    ',' between the values of a row and '\\n' after each row."""
+    ',' between the values of a row and '\\n' after each row.  Raises
+    :class:`NumericalError` on an inf or a nan."""
     block = np.ascontiguousarray(block, dtype=np.float64)
     rows, n = block.shape
     flat = block.reshape(-1)
@@ -65,7 +71,10 @@ def _text(x: np.ndarray, n: int) -> bytes:
     m = _shortest(c, row, t)
     digits, e10 = _left_aligned(m, t.k[row], t)
     special = np.flatnonzero(((bits << _U(1)) == _U(0)) | (exp == 0x7FF))
-    if len(special):  # +-0.0 shows the digits of 0, inf and nan none
+    if len(special):  # +-0.0 shows the digits of 0, and inf and nan have no text
+        nonfinite = x[special[exp[special] == 0x7FF]]
+        if len(nonfinite):
+            raise NumericalError(f"{float(nonfinite[0])!r} has no CSV text, only finite values do")
         digits[special] = 0
         e10[special] = 0
 
@@ -75,9 +84,6 @@ def _text(x: np.ndarray, n: int) -> bytes:
     cls += cls
     cls += size > 1
     cls += sign * (2 * _E_COUNT)
-    if len(special):
-        nonfinite = special[exp[special] == 0x7FF]
-        cls[nonfinite] = _SPECIAL + np.where(frac[nonfinite] != _U(0), 2, sign[nonfinite])
     np.maximum(size, t.keep_at_least[cls], out=size)
     slots &= np.take(t.keep, size, axis=0)
     shifted = np.empty_like(slots)  # the digits one place on, past the point
@@ -248,12 +254,12 @@ class _Tables:
 
         # per class: the fixed bytes, the digit places before the point, the
         # places after it (one byte on), and the digits every value shows
-        cls = np.arange(_SPECIAL)
+        cls = np.arange(4 * _E_COUNT)
         e10 = cls % (2 * _E_COUNT) // 2 + _E_MIN
         positional = (e10 >= 0) & (e10 < 16)
         scientific = (e10 < -4) | (e10 >= 16)
         point = np.where(positional, e10 + 1, np.where(scientific & (cls % 2 == 1), 1, 17))
-        self.keep_at_least = np.append(np.where(positional, e10 + 2, 0), [0, 0, 0])
+        self.keep_at_least = np.where(positional, e10 + 2, 0)
         before = (place >= 0) & (place < point[:, None])
         after = (place > point[:, None]) & (place <= 17) & (point[:, None] < 17)
         decor = np.zeros((_E_COUNT, _SLOT), dtype=np.uint8)
@@ -267,15 +273,10 @@ class _Tables:
         frame = decor[e10 - _E_MIN]
         frame[:, 0] = np.where(cls >= 2 * _E_COUNT, ord("-"), 0)
         frame[(place == point[:, None]) & (point[:, None] < 17)] = ord(".")
-        words = np.zeros((3, _SLOT), dtype=np.uint8)
-        for row, word in zip(words, ("inf", "-inf", "nan")):
-            row[1:1 + len(word)] = list(word.encode())
-        frame = np.concatenate([frame, words])
         frame[:, _SLOT - 1] = ord(",")
-        nothing = np.zeros((3, _SLOT), dtype=bool)
         self.keep, self.frame = self.keep.view(_U), frame.view(_U)
         self.before_point, self.after_point = (
-            (np.concatenate([a, nothing]) * np.uint8(0xFF)).view(_U) for a in (before, after))
+            (a * np.uint8(0xFF)).view(_U) for a in (before, after))
 
     def _times_power_of_two(self, s):
         """The three 64-bit words of g 2^s, low first, for 0 < s < 64."""

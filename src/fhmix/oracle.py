@@ -101,8 +101,6 @@ def lp_feasible(marginal_probs, conc: ConcurrenceMatrix, mode: str = "auto", *,
         raise InvalidMatrixError(
             f"{n} marginal probabilities for a {conc.n}x{conc.n} concurrence matrix"
         )
-    if n < 1:
-        raise DomainError("need at least one coordinate")
     if n > MAX_DIMENSION:
         raise CapacityError(
             f"n={n} exceeds the oracle bound {MAX_DIMENSION} (2^n atoms get too large)"

@@ -253,11 +253,13 @@ def test_criterion_09_determinism_and_linear_time():
     costs = {n: [] for n in ns}
     for n in ns:
         sample_batch(plans[n], 20_000, seed=0)  # warm caches and allocator
+    # CPU time of the whole process: a batch of more than PIECE_ROWS rows is
+    # drawn on worker threads, whose work a wall clock on shared cores blurs
     for _ in range(LINEAR_ROUNDS):
         for n in ns:
-            start = time.perf_counter()
+            start = time.process_time()
             sample_batch(plans[n], count, seed=1)
-            costs[n].append((time.perf_counter() - start) / count)
+            costs[n].append((time.process_time() - start) / count)
     fit = _median_fit(costs)
     r2 = fit.rvalue ** 2
     assert r2 >= LINEAR_R2, (r2, [statistics.median(costs[n]) for n in ns])

@@ -346,6 +346,30 @@ def test_importing_fhmix_leaves_scipy_integrate_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def _crossed_extremes(monkeypatch, gap):
+    """corr_extremes of Bern(1/2) and a uniform, with G faked so that
+    rho_plus = 0.3 and rho_minus = 0.3 + gap."""
+
+    def primitive(m, u, v):
+        # at the breakpoints (0, 1/2, 1), G = (0, -g, 0) gives an extreme of 2 g,
+        # and the rho_minus call passes the breakpoints mirrored
+        g = 0.15 if u[0] == 0.0 else -0.5 * (0.3 + gap)
+        return np.array([0.0, -g, 0.0])
+
+    monkeypatch.setattr(bounds, "_primitive", primitive)
+    return corr_extremes(MarginalSpec.bernoulli(0.5), MarginalSpec.uniform(0.0, 1.0))
+
+
+def test_a_rounding_crossing_of_the_extremes_closes_the_interval(monkeypatch):
+    ext = _crossed_extremes(monkeypatch, 5e-10)
+    assert ext.rho_minus == ext.rho_plus == 0.3
+
+
+def test_a_larger_crossing_of_the_extremes_raises_naming_both(monkeypatch):
+    with pytest.raises(NumericalError, match=r"^rho_minus=0\.3000\d+ exceeds rho_plus=0\.3$"):
+        _crossed_extremes(monkeypatch, 1e-6)
+
+
 # seeded empirical marginals against each other family: each of their extremes
 # sums over the atoms, whose bits a BLAS dot product leaves to the kernel
 # OpenBLAS picks by CPU

@@ -798,6 +798,40 @@ def test_verify_skips_blank_lines_and_blocks_of_them(tmp_path, capsys, monkeypat
                        "z": pytest.approx(want["z"], rel=1e-12, abs=1e-12)}
 
 
+def test_verify_reads_a_whitespace_only_line_as_blank(tmp_path, capsys):
+    path = write_config(tmp_path, exp_pair(count=30))
+    csv = tmp_path / "data.csv"
+    assert main(["sample", "--config", path, "--out", str(csv)]) == 0
+    assert main(["verify", "--config", path, str(csv)]) == 0
+    plain = capsys.readouterr().out
+    lines = csv.read_text().splitlines()
+    csv.write_text("\n".join(lines[:20] + ["   ", "\t"] + lines[20:] + [" "]) + "\n")
+    assert main(["verify", "--config", path, str(csv)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda line: "# a comment line", lambda line: line + " # trailing"],
+    ids=["comment-line", "trailing-comment"],
+)
+def test_verify_reads_a_hash_as_a_malformed_line(tmp_path, capsys, mutate):
+    # '#' starts no comment; the whitespace-only line before it still counts
+    # as a data row of the file
+    path = write_config(tmp_path, exp_pair(count=30))
+    csv = tmp_path / "data.csv"
+    assert main(["sample", "--config", path, "--out", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    lines[3] = "  "
+    lines[9] = mutate(lines[9])
+    csv.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", path, str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {csv}: malformed CSV: data row 9 is not 2 finite numbers: "
+                            f"{lines[9].strip()!r}\n")
+
+
 def test_verify_header_and_undecodable_byte_errors(tmp_path, capsys):
     path = write_config(tmp_path, exp_pair())
     csv = tmp_path / "bad.csv"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fhmix import csvtext
 from fhmix.csvtext import csv_bytes
+from fhmix.errors import NumericalError
 
 
 def reference(block: np.ndarray) -> bytes:
@@ -102,9 +103,16 @@ def test_blocks_longer_than_a_sub_block():
     assert csv_bytes(block[:0]) == b""
 
 
-def test_inf_and_nan_read_as_repr():
-    block = np.array([[math.inf, -math.inf, math.nan, -math.nan, 1.5]])
-    assert csv_bytes(block) == b"inf,-inf,nan,nan,1.5\n"
+def test_inf_and_nan_have_no_text():
+    # a draw is finite, so a value that is not is a fault: csv_bytes raises,
+    # in the first sub-block and in a later one
+    for value in (math.inf, -math.inf, math.nan, -math.nan):
+        block = np.ones((csvtext.SUB_VALUES, 2))
+        for row in (0, -1):
+            bad = block.copy()
+            bad[row, 1] = value
+            with pytest.raises(NumericalError, match=f"^{value!r} has no CSV text"):
+                csv_bytes(bad)
 
 
 def test_powers_of_ten_span_the_exponents():

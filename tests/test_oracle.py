@@ -152,6 +152,12 @@ def test_capacity_and_shape_errors():
         lp_feasible([0.5, 1.5], ConcurrenceMatrix.filled(2, 0.5))
 
 
+def test_no_marginals_for_a_one_coordinate_matrix_is_a_shape_error():
+    # a concurrence matrix is at least 1x1, so n = 0 is always a mismatch
+    with pytest.raises(InvalidMatrixError, match="0 marginal probabilities for a 1x1"):
+        lp_feasible([], ConcurrenceMatrix.filled(1, 1.0))
+
+
 def test_asymmetric_marginals_supported():
     # X == Y with X ~ Bern(0.3): concurrence 1 needs equal marginals
     conc = ConcurrenceMatrix.from_lower_triangle([1.0], 2)

@@ -21,6 +21,7 @@ from fhmix import (
     CorrelationMatrix,
     DomainError,
     InfeasibleError,
+    InvalidMarginalError,
     InvalidMatrixError,
     JointPMF,
     MarginalSpec,
@@ -770,6 +771,43 @@ def test_uniform_past_the_float_support_sum_draws_the_last_support_atom():
     rows = _batch_values(plan, 1, _ScriptedGenerator(top, [top]))
     assert rows.tolist() == [[top, 2.0 ** -53]]
     assert pmf.sample(_ScriptedGenerator(top, [top])).tolist() == [1, 0]
+
+
+def _edge_spec(make, accepted: float, rejected: float) -> MarginalSpec:
+    """``make(x)`` at the last x from ``accepted`` towards ``rejected`` (both
+    positive) whose spec passes the overflow check: the next float fails it."""
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (accepted, rejected))
+    while abs(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        try:
+            make(float(np.int64(mid).view(np.float64)))
+            lo = mid
+        except InvalidMarginalError:
+            hi = mid
+    return make(float(np.int64(lo).view(np.float64)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_draws_are_finite_at_the_edge_of_the_overflow_check(seed):
+    # csv_bytes writes finite values only: each quantile is monotone, so a draw
+    # at U or 1 - U in [2^-53, 1 - 2^-53] is finite when the spec's quantiles
+    # at both ends are, and the spec checks them
+    rng = np.random.default_rng(seed)
+    c = float(rng.uniform(0.0, 1.0))
+    w = rng.dirichlet(np.ones(3)).tolist()
+    edges = [
+        _edge_spec(lambda x: MarginalSpec.uniform(-c * x, x), 1.0, math.inf),
+        _edge_spec(MarginalSpec.exponential, 1.0, 5e-324),
+        _edge_spec(lambda x: MarginalSpec.normal(c * x, x), 1.0, math.inf),
+        _edge_spec(lambda x: MarginalSpec.empirical([-x, c * x, x], w), 1.0, math.inf),
+    ]
+    marginals = [edges[k] for k in rng.permutation(4)]
+    plan = build_plan_from_concurrence(
+        marginals, ConcurrenceMatrix.filled(4, float(rng.uniform(0.5, 1.0))))
+    assert np.isfinite(sample_batch(plan, 5000, seed=seed).values).all()
+    for u in (2.0 ** -53, 1.0 - 2.0 ** -53):  # the ends, where a quantile is largest
+        rows = _batch_values(plan, 5000, _ScriptedGenerator(u, rng.random(5000).tolist()))
+        assert np.isfinite(rows).all()
 
 
 def fair_coin_law(rng: np.random.Generator, n: int, spread: bool) -> JointPMF:
