@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegenerateMarginalError, NumericalError
+from .errors import DegenerateMarginalError, DomainError, NumericalError
 from .marginals import MarginalSpec, _empirical_standardization
 # ``quantile`` stays importable from here: bench/tracing.py wraps it by name
 from .marginals import quantile  # noqa: F401
@@ -118,11 +118,13 @@ def bernoulli_corr_extremes(p: float, q: float) -> CorrelationExtremes:
         rho_minus = -sqrt(p q / ((1-p)(1-q)))    if p <= 1 - q
                     -sqrt((1-p)(1-q) / (p q))    otherwise
 
-    Raises :class:`DegenerateMarginalError` if p or q is 0 or 1 (zero
-    variance).
+    Raises :class:`DomainError` if p or q is outside [0, 1] or nan, and
+    :class:`DegenerateMarginalError` if it is 0 or 1 (zero variance).
     """
     for name, value in (("p", p), ("q", q)):
-        if not 0.0 < value < 1.0:
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"{name}={value} is not a probability in [0, 1]")
+        if value in (0.0, 1.0):
             raise DegenerateMarginalError(
                 f"{name}={value} gives a zero-variance Bernoulli marginal"
             )

@@ -14,13 +14,14 @@ B^-1 a_j and updates B^-1 by a rank-1 step, which costs m^2 instead of the
 m (N + m) of a full tableau.  B^-1 is refactored from the original columns
 every 32 pivots (``_REFACTOR_EVERY``), and the returned solution and duals
 come from a fresh factorization, so rounding does not accumulate into a
-wrong verdict.  Dantzig's rule runs first, with a Harris two-pass ratio test
-(the smallest ratio against the right-hand side relaxed by 1e-9, then the
-largest pivot element among the rows within that bound), which keeps tiny
-pivots out of the basis; on a stall, a cycle or a numerical failure (a
-singular basis, or an end on a basic value below zero, which the relaxation
-allows) it restarts with Bland's rule and its lowest-index ratio test, which
-terminates.  The mode decides how the answer is trusted:
+wrong verdict.  Dantzig's rule prices, and the ratio test takes the largest
+pivot among the rows whose ratio is within a slack of the smallest: first
+Harris's 1e-9 against b, which keeps tiny pivots out of the basis.  On a
+stall, a singular basis or an end below zero (which that slack allows) the
+loop runs once more from the start, with slack 0 on b plus a distinct shift
+of at most 1e-11 per row, which leaves no degenerate ties (Charnes 1952,
+"Optimality and degeneracy in linear programming"); its final basis is
+refactored with b itself.  The mode decides how the answer is trusted:
 
 * float   - verdicts accept a total violation up to 1e-9: the phase-1
             optimum must be within it, and the witness (as the sampler's
@@ -60,6 +61,8 @@ MAX_DIMENSION = 12
 #: total violation that float verdicts accept, and the Harris ratio test's relaxation
 FLOAT_TOL = 1e-9
 _PIVOT_TOL = 1e-11
+#: the largest right-hand-side shift of the second simplex pass, on its last row
+_SHIFT = 1e-11
 #: auto mode uses exact arithmetic when all denominators stay below this
 _EXACT_DENOM_LIMIT = 10 ** 6
 
@@ -176,7 +179,7 @@ class _Phase1:
 
     AI: np.ndarray
     c: np.ndarray
-    Ib: np.ndarray  # [I | b]
+    Ib: np.ndarray  # [I | b], b perhaps shifted
     T: np.ndarray
     cb: np.ndarray
     since: int = 0  # pivots since T was refactored
@@ -194,19 +197,20 @@ def _phase1_float(A: np.ndarray,
     AI = np.hstack((A, np.eye(m)))
     c = np.concatenate((np.zeros(N), np.ones(m)))
     Ib = np.column_stack((np.eye(m), b))
-    # Dantzig's rule first; on a rare stall, cycle or numerical failure,
-    # restart with Bland's rule, which terminates
-    for bland, max_iter in ((False, 60 * (m + 2)), (True, 500 * (N + m))):
-        state = _Phase1(AI, c, Ib, Ib.copy(), np.ones(m))
+    shifted = np.column_stack((np.eye(m), b + _SHIFT * np.arange(1, m + 1) / m))
+    for slack, rhs in ((FLOAT_TOL, Ib), (0.0, shifted)):
+        # the periodic refactorizations keep [I | rhs]; the final one reads b
+        state = _Phase1(AI, c, rhs, rhs.copy(), np.ones(m))
         basis = list(range(N, N + m))
         try:
-            if _simplex_iterate(state, basis, bland, max_iter):
+            if _simplex_iterate(state, basis, slack, 60 * (m + 2)):
+                state.Ib = Ib
                 _refactor(state, basis)
-                # a Harris end with x_B < 0 is a numerical failure; Bland's test keeps x_B >= 0
-                if bland or state.T[:, m].min() >= -_PIVOT_TOL:
+                # a Harris end with x_B < 0 is a numerical failure
+                if slack == 0.0 or state.T[:, m].min() >= -_PIVOT_TOL:
                     break
         except NumericalError:
-            if bland:
+            if slack == 0.0:
                 raise
     else:
         raise NumericalError("phase-1 simplex failed to terminate")
@@ -219,7 +223,7 @@ def _phase1_float(A: np.ndarray,
     return float(yv[m]), x, yv[:m], basis
 
 
-def _simplex_iterate(state: _Phase1, basis: list[int], bland: bool, max_iter: int) -> bool:
+def _simplex_iterate(state: _Phase1, basis: list[int], slack: float, max_iter: int) -> bool:
     m = len(basis)
     for _ in range(max_iter):
         if state.since == _REFACTOR_EVERY:
@@ -228,29 +232,17 @@ def _simplex_iterate(state: _Phase1, basis: list[int], bland: bool, max_iter: in
         if yv[m] <= _PIVOT_TOL:  # a zero objective is optimal; later pivots are degenerate
             return True
         red = state.c - yv[:m] @ state.AI
-        if bland:
-            neg = np.nonzero(red < -_PIVOT_TOL)[0]
-            if neg.size == 0:
-                return True
-            j = int(neg[0])
-        else:
-            j = int(red.argmin())
-            if red[j] >= -_PIVOT_TOL:
-                return True
+        j = int(red.argmin())
+        if red[j] >= -_PIVOT_TOL:
+            return True
         alpha = state.T[:, :m] @ state.AI[:, j]
         pos = np.nonzero(alpha > _PIVOT_TOL)[0]
         if pos.size == 0:
             raise NumericalError("phase-1 simplex reports an unbounded column")
         col, xb = alpha[pos], state.T[pos, m]
-        ratios = xb / col
-        if bland:
-            best = ratios.min()
-            ties = pos[ratios <= best + 1e-12 * (1.0 + abs(best))]
-            r = int(min(ties, key=lambda k: basis[k]))
-        else:
-            # Harris: the largest pivot among the rows within the relaxed bound
-            within = ratios <= ((xb + FLOAT_TOL) / col).min()
-            r = int(pos[within][col[within].argmax()])
+        # the largest pivot among the rows within the slack of the least ratio
+        within = xb / col <= ((xb + slack) / col).min()
+        r = int(pos[within][col[within].argmax()])
         # rank-1 update of [B^-1 | x_B] for column j entering at row r
         row = state.T[r] / alpha[r]
         state.T -= alpha[:, None] * row

@@ -865,6 +865,34 @@ def test_screen_equals_an_exact_reference_on_many_matrices():
     assert compared >= 100_000
 
 
+# (n, batch, index) of near-face inputs in a replay of the "law+2^-41" kind:
+# default_rng(99), n = 4..12 in order, 9 batches of 250 each.  The float LP
+# raised NumericalError on the first 18 ("failed to terminate" or "basis is
+# singular") and called the last 3 infeasible; HiGHS finds all 21 feasible
+NEAR_FACE_REPLAY = {
+    (10, 0, 129), (11, 0, 142), (11, 2, 162), (11, 2, 181), (11, 5, 140), (11, 5, 147),
+    (11, 6, 24), (11, 7, 234), (11, 8, 231), (12, 0, 46), (12, 1, 185), (12, 2, 164),
+    (12, 2, 193), (12, 2, 245), (12, 4, 212), (12, 4, 247), (12, 6, 91), (12, 7, 235),
+    (10, 1, 149), (10, 4, 57), (12, 6, 20),
+}
+
+
+def test_near_face_lp_inputs_of_the_replay_get_plans():
+    rng = np.random.default_rng(99)
+    uniform = MarginalSpec.uniform(0.0, 1.0)
+    built = 0
+    for n in range(4, 13):
+        for batch in range(9):
+            e = _screen_batch(rng, n, "law+2^-41", 250)
+            for index in sorted(k for m, b, k in NEAR_FACE_REPLAY if (m, b) == (n, batch)):
+                conc = ConcurrenceMatrix(e[index])
+                plan = build_plan_from_concurrence([uniform] * n, conc)
+                assert plan.feasible, (n, batch, index)
+                assert pmf_residual(plan.recipe.pmf, [0.5] * n, conc.entries) <= 1e-9
+                built += 1
+    assert built == len(NEAR_FACE_REPLAY)
+
+
 def test_one_verdict_at_the_faces_and_every_admitted_alpha_builds():
     # concurrences of sparse fair-coin laws, on faces of the feasible set,
     # moved by multiples of 2.5e-13 across them: about half the entries at

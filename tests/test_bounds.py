@@ -16,6 +16,7 @@ import fhmix
 from fhmix import (
     CorrelationExtremes,
     DegenerateMarginalError,
+    DomainError,
     MarginalSpec,
     NumericalError,
     bernoulli_corr_extremes,
@@ -105,6 +106,13 @@ def test_bernoulli_extremes_vs_enumeration_oracle():
 def test_bernoulli_degenerate_rejected(p, q):
     with pytest.raises(DegenerateMarginalError):
         bernoulli_corr_extremes(p, q)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.2, math.nan])
+def test_bernoulli_out_of_range_p_is_a_domain_error(p):
+    for args in ((p, 0.5), (0.5, p)):
+        with pytest.raises(DomainError, match=r"not a probability in \[0, 1\]"):
+            bernoulli_corr_extremes(*args)
 
 
 _EXTREME_P = [1e-300, 1e-170, 1e-160, 1e-77, 1e-9, 0.3, 0.5, 0.7, 1 - 1e-9, 1 - 1e-16]

@@ -22,7 +22,7 @@ from fhmix import (
 from fhmix import oracle
 from fhmix.cli import main
 from fhmix.oracle import FLOAT_TOL
-from helpers import pmf_residual, random_feasible_quad, random_pmf
+from helpers import pmf_residual, random_concurrence4, random_feasible_quad, random_pmf
 
 
 def test_pair_always_feasible():
@@ -248,16 +248,14 @@ def test_a_dyadic_n12_plan_is_certified():
 
 
 # a feasible fair-coin input (lower triangle x16), the concurrences of a dyadic
-# complement-symmetric law.  The float simplex ends its reduced system on a
-# basis that is singular in exact arithmetic: exact mode cannot certify it, and
-# float mode's witness misses its marginal 11 row by 0.85
+# complement-symmetric law.  The Harris pass stalls on its reduced system, so
+# the second pass decides it; exact mode must certify the basis that pass ends
+# on, and a basis singular in exact arithmetic would leave it without a verdict
 SINGULAR_BASIS_N12 = [8, 9, 7, 9, 5, 8, 11, 11, 6, 10, 8, 10, 13, 7, 7, 8, 4, 7, 7, 9, 6, 3,
                       7, 8, 10, 4, 9, 5, 10, 8, 9, 7, 9, 6, 10, 5, 8, 8, 9, 9, 11, 8, 8, 5,
                       8, 7, 9, 6, 10, 10, 7, 7, 10, 5, 7, 7, 9, 10, 8, 8, 9, 7, 8, 11, 9, 2]
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalError,
-                   reason="exact mode takes no exact pivots past a singular float basis")
 def test_a_dyadic_n12_law_on_a_singular_float_basis_gets_a_plan():
     conc = ConcurrenceMatrix.from_lower_triangle([v / 16 for v in SINGULAR_BASIS_N12], 12)
     plan = build_plan_from_concurrence([MarginalSpec.uniform(0.0, 1.0)] * 12, conc)
@@ -323,29 +321,32 @@ def test_a_witness_just_past_the_tolerance_is_an_infeasible_verdict():
     assert f"misses a row by {w.max_residual!r} > 1e-09" in w.certificate
 
 
-@pytest.mark.parametrize("probs, lower", [
-    ([0.5] * 5, [0.5] * 10),                      # fair coins, feasible
-    ([0.5] * 5, [0.25] * 10),                     # below the n = 5 bound 3/8
-    ([0.3, 0.6, 0.5, 0.8], [0.55, 0.6, 0.45, 0.45, 0.3, 0.55]),
-    ([0.9, 0.9, 0.2], [0.85, 0.3, 0.25]),
+@pytest.mark.parametrize("probs, conc", [
+    ([0.5] * 5, ConcurrenceMatrix.from_lower_triangle([0.5] * 10, 5)),   # fair coins, feasible
+    ([0.5] * 5, ConcurrenceMatrix.from_lower_triangle([0.25] * 10, 5)),  # below the n = 5 bound 3/8
+    ([0.3, 0.6, 0.5, 0.8],
+     ConcurrenceMatrix.from_lower_triangle([0.55, 0.6, 0.45, 0.45, 0.3, 0.55], 4)),
+    ([0.9, 0.9, 0.2], ConcurrenceMatrix.from_lower_triangle([0.85, 0.3, 0.25], 3)),
+    # 40 seeded random four-coin matrices, feasible or not
+    *(([0.5] * 4, random_concurrence4(rng))
+      for rng in [np.random.default_rng(32)] for _ in range(40)),
 ])
-def test_the_bland_restart_gives_the_verdicts_of_dantzig(monkeypatch, probs, lower):
-    conc = ConcurrenceMatrix.from_lower_triangle(lower, len(probs))
+def test_the_second_pass_gives_the_verdicts_of_the_first(monkeypatch, probs, conc):
     plain = {mode: lp_feasible(probs, conc, mode=mode) for mode in ("float", "exact")}
     real = oracle._simplex_iterate
     passes = []
 
-    def dantzig_gives_up(T, basis, bland, max_iter):
-        # Dantzig's pass stops after one pivot, as on a stall
-        done = real(T, basis, bland, max_iter if bland else 1)
-        passes.append((bland, done))
+    def harris_gives_up(T, basis, slack, max_iter):
+        # the Harris pass stops after one pivot, as on a stall
+        done = real(T, basis, slack, max_iter if slack == 0.0 else 1)
+        passes.append((slack, done))
         return done
 
-    monkeypatch.setattr(oracle, "_simplex_iterate", dantzig_gives_up)
+    monkeypatch.setattr(oracle, "_simplex_iterate", harris_gives_up)
     for mode, want in plain.items():
         passes.clear()
         got = lp_feasible(probs, conc, mode=mode)
-        assert passes == [(False, False), (True, True)]
+        assert passes == [(FLOAT_TOL, False), (0.0, True)]
         assert got.feasible == want.feasible and got.mode == want.mode == mode
         if got.feasible:
             assert pmf_residual(got.pmf, probs, conc.entries) <= 1e-12

@@ -393,7 +393,7 @@ def test_sparse_n11_law_compiles():
 
 
 # five uniforms with concurrence (1,4) 2e-9 below 1, on which Dantzig's pass
-# ends with a basic value of -1e-9 (the Bland restart's lowest is -1.1e-16);
+# ends with a basic value of -1e-9 (the second pass's lowest is -1.1e-16);
 # HiGHS meets every row within 2.2e-16
 NEAR_FACE_N5 = [0.2272945729512399, 0.5244411777796993, 0.5126423899466896,
                 0.9999999979999998, 0.2272945729512399, 0.5244411757796993,
